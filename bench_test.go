@@ -338,11 +338,11 @@ func BenchmarkGridNearest(b *testing.B) {
 func BenchmarkJaccardTopSets(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	mkSet := func() similarity.Set {
-		s := make(similarity.Set)
-		for i := 0; i < 60; i++ {
-			s.Add(rng.Intn(400))
+		ids := make([]int, 60)
+		for i := range ids {
+			ids[i] = rng.Intn(400)
 		}
-		return s
+		return similarity.NewSet(ids...)
 	}
 	sa, sb := mkSet(), mkSet()
 	b.ReportAllocs()

@@ -215,11 +215,11 @@ func benchmarks(quick bool) ([]namedBench, error) {
 
 	rng := rand.New(rand.NewSource(3))
 	mkSet := func(universe, size int) similarity.Set {
-		s := make(similarity.Set)
-		for k := 0; k < size; k++ {
-			s.Add(rng.Intn(universe))
+		ids := make([]int, size)
+		for k := range ids {
+			ids[k] = rng.Intn(universe)
 		}
-		return s
+		return similarity.NewSet(ids...)
 	}
 	sa, sb := mkSet(4000, 300), mkSet(4000, 300)
 	bs, ok := similarity.NewBitSets([]similarity.Set{sa, sb})
@@ -312,17 +312,10 @@ func walBenches() []namedBench {
 		if err != nil {
 			b.Fatal(err)
 		}
-		set := func(vs ...int) similarity.Set {
-			s := make(similarity.Set, len(vs))
-			for _, v := range vs {
-				s.Add(v)
-			}
-			return s
-		}
 		plan := &core.Plan{
 			Flows:         []core.FlowEdge{{From: 0, To: 1, Amount: 10}},
 			Redirects:     []core.Redirect{{From: 1, To: 0, Video: 2, Count: 7}},
-			Placement:     []similarity.Set{set(1, 2), set(0)},
+			Placement:     []similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(0)},
 			OverflowToCDN: []int64{0, 7},
 		}
 		canonical := plan.Canonical()

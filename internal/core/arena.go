@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/mcmf"
+	"repro/internal/similarity"
 )
 
 // roundArena is the per-Scheduler reusable storage behind the
@@ -35,8 +36,14 @@ type roundArena struct {
 	groups  []cand   // cluster-stable-sort scratch
 	net     flowNet  // reused result shell; edges cap retained
 
-	flows  map[int64]int64 // per-round flow accumulator, cleared per round
-	counts map[int]int64   // contentClusters signature scratch
+	flows  map[int64]int64   // per-round flow accumulator, cleared per round
+	ranker similarity.Ranker // content-signature ranking scratch
+
+	// place is the round's working placement Y: one dense BitSet per
+	// hotspot over the catalogue [0, NumVideos), allocated once per
+	// Scheduler. Procedure 1 tests and sets bits in it and emits each row
+	// as an immutable Set at the end of the round.
+	place []similarity.BitSet
 }
 
 func newRoundArena(m int) *roundArena {
@@ -47,8 +54,32 @@ func newRoundArena(m int) *roundArena {
 		srcEp:  make([]int64, m),
 		snkEp:  make([]int64, m),
 		flows:  make(map[int64]int64),
-		counts: make(map[int]int64),
 	}
+}
+
+// placementRows returns m empty placement rows over [0, numVideos),
+// allocating them on first use and clearing only the rows the previous
+// round set bits in.
+func (ar *roundArena) placementRows(m, numVideos int) []similarity.BitSet {
+	if len(ar.place) != m {
+		ar.place = make([]similarity.BitSet, m)
+		for h := range ar.place {
+			ar.place[h] = similarity.NewBitSet(numVideos)
+		}
+	}
+	for h := range ar.place {
+		ar.place[h].Reset()
+	}
+	return ar.place
+}
+
+// emitPlacement scans each row into an immutable Set.
+func emitPlacement(rows []similarity.BitSet) []similarity.Set {
+	placement := make([]similarity.Set, len(rows))
+	for h := range rows {
+		placement[h] = rows[h].Set()
+	}
+	return placement
 }
 
 // emptyFlows returns the round flow accumulator, cleared for reuse.

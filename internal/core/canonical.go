@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strconv"
 
 	"repro/internal/similarity"
@@ -55,9 +56,9 @@ func (p *Plan) AppendCanonical(b []byte) []byte {
 	for h, set := range p.Placement {
 		b = append(b, 'p', ' ')
 		b = strconv.AppendInt(b, int64(h), 10)
-		for _, v := range set.Sorted() {
+		for i := 0; i < set.Len(); i++ {
 			b = append(b, ' ')
-			b = strconv.AppendInt(b, int64(v), 10)
+			b = strconv.AppendInt(b, int64(set.At(i)), 10)
 		}
 		b = append(b, '\n')
 	}
@@ -70,8 +71,18 @@ func (p *Plan) AppendCanonical(b []byte) []byte {
 }
 
 // Canonical returns the plan's canonical encoding (AppendCanonical into
-// a fresh buffer).
-func (p *Plan) Canonical() []byte { return p.AppendCanonical(nil) }
+// a fresh buffer sized from the plan, so the encode does not regrow it).
+func (p *Plan) Canonical() []byte { return p.AppendCanonical(make([]byte, 0, p.sizeHint())) }
+
+// sizeHint estimates the canonical encoding's length from typical field
+// widths; it only sizes a buffer, so it need not be exact.
+func (p *Plan) sizeHint() int {
+	n := 64 + 20*len(p.Flows) + 24*len(p.Redirects) + 8*len(p.OverflowToCDN)
+	for _, set := range p.Placement {
+		n += 8 + 6*set.Len()
+	}
+	return n
+}
 
 // Digest returns the FNV-1a hash of the plan's canonical encoding: a
 // compact fingerprint for plan-identity checks (the serving layer
@@ -107,10 +118,15 @@ func DigestOf(canonical []byte) uint64 {
 // serving tier's plan-distribution channel: each frontend instance
 // reconstructs its serving plan from the distributed bytes rather
 // than sharing the scheduler's. The parser is strict — any deviation
-// from the AppendCanonical grammar is an error, never a guess — and
-// for a well-formed input the round trip re-encodes to the identical
-// bytes (certified in canonical_test.go and re-checked on every swap
-// by the serving tier).
+// from the AppendCanonical grammar is an error, never a guess:
+// integers must be written the way strconv.AppendInt writes them (no
+// '+', no leading zeros, no "-0"), hotspot and video ids must fit
+// int32, and each placement row must list video ids in [0, MaxInt32]
+// strictly ascending. So every accepted input re-encodes to the
+// identical bytes (certified in canonical_test.go and by
+// FuzzParseCanonical, and re-checked on every swap by the serving
+// tier). Allocation is bounded by the input's length: declared section
+// lengths only size buffers as far as the remaining bytes could hold.
 func ParseCanonical(canonical []byte) (*Plan, error) {
 	cp := canonicalParser{rest: canonical}
 	p := &Plan{}
@@ -134,13 +150,13 @@ func ParseCanonical(canonical []byte) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: canonical plan: flows header: %w", err)
 	}
-	p.Flows = make([]FlowEdge, 0, prealloc(nf))
+	p.Flows = make([]FlowEdge, 0, cp.prealloc(nf, len("f 0 0 0\n")))
 	for i := int64(0); i < nf; i++ {
 		if err := cp.literal("f "); err != nil {
 			return nil, err
 		}
-		from, err1 := cp.int64Until(' ')
-		to, err2 := cp.int64Until(' ')
+		from, err1 := cp.int32Until(' ')
+		to, err2 := cp.int32Until(' ')
 		amt, err3 := cp.int64Until('\n')
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("core: canonical plan: flow %d malformed", i)
@@ -155,14 +171,14 @@ func ParseCanonical(canonical []byte) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: canonical plan: redirects header: %w", err)
 	}
-	p.Redirects = make([]Redirect, 0, prealloc(nr))
+	p.Redirects = make([]Redirect, 0, cp.prealloc(nr, len("r 0 0 0 0\n")))
 	for i := int64(0); i < nr; i++ {
 		if err := cp.literal("r "); err != nil {
 			return nil, err
 		}
-		from, err1 := cp.int64Until(' ')
-		to, err2 := cp.int64Until(' ')
-		video, err3 := cp.int64Until(' ')
+		from, err1 := cp.int32Until(' ')
+		to, err2 := cp.int32Until(' ')
+		video, err3 := cp.int32Until(' ')
 		count, err4 := cp.int64Until('\n')
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return nil, fmt.Errorf("core: canonical plan: redirect %d malformed", i)
@@ -180,7 +196,7 @@ func ParseCanonical(canonical []byte) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: canonical plan: placement header: %w", err)
 	}
-	p.Placement = make([]similarity.Set, 0, prealloc(np))
+	p.Placement = make([]similarity.Set, 0, cp.prealloc(np, len("p 0\n")))
 	for i := int64(0); i < np; i++ {
 		if err := cp.literal("p "); err != nil {
 			return nil, err
@@ -189,18 +205,9 @@ func ParseCanonical(canonical []byte) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: canonical plan: placement row %d: %w", i, err)
 		}
-		fields := bytes.Split(line, []byte{' '})
-		h, err := strconv.ParseInt(string(fields[0]), 10, 64)
-		if err != nil || h != i {
-			return nil, fmt.Errorf("core: canonical plan: placement row %d labelled %q", i, fields[0])
-		}
-		set := make(similarity.Set, len(fields)-1)
-		for _, f := range fields[1:] {
-			v, err := strconv.ParseInt(string(f), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("core: canonical plan: placement row %d video %q", i, f)
-			}
-			set.Add(int(v))
+		set, err := parsePlacementRow(line, i)
+		if err != nil {
+			return nil, err
 		}
 		p.Placement = append(p.Placement, set)
 	}
@@ -216,9 +223,12 @@ func ParseCanonical(canonical []byte) (*Plan, error) {
 		if tail[0] != ' ' {
 			return nil, fmt.Errorf("core: canonical plan: overflow row malformed")
 		}
-		for _, f := range bytes.Split(tail[1:], []byte{' '}) {
-			o, err := strconv.ParseInt(string(f), 10, 64)
-			if err != nil {
+		p.OverflowToCDN = make([]int64, 0, bytes.Count(tail, []byte{' '}))
+		for rest, more := tail[1:], true; more; {
+			var f []byte
+			f, rest, more = bytes.Cut(rest, []byte{' '})
+			o, ok := parseCanonicalInt(f)
+			if !ok {
 				return nil, fmt.Errorf("core: canonical plan: overflow entry %q", f)
 			}
 			p.OverflowToCDN = append(p.OverflowToCDN, o)
@@ -230,15 +240,32 @@ func ParseCanonical(canonical []byte) (*Plan, error) {
 	return p, nil
 }
 
-// prealloc clamps a declared section length to a safe preallocation
-// hint: the sections still parse to their full declared size via
-// append, but a corrupt header cannot force a huge upfront allocation.
-func prealloc(n int64) int64 {
-	const cap = 4096
-	if n > cap {
-		return cap
+// parsePlacementRow decodes one placement row "h v1 v2 ..." (the "p "
+// prefix and the newline already consumed) whose label must be i, into
+// a Set sized exactly from the row's field count.
+func parsePlacementRow(line []byte, i int64) (similarity.Set, error) {
+	label, rest, more := bytes.Cut(line, []byte{' '})
+	if h, ok := parseCanonicalInt(label); !ok || h != i {
+		return similarity.Set{}, fmt.Errorf("core: canonical plan: placement row %d labelled %q", i, label)
 	}
-	return n
+	if !more {
+		return similarity.Set{}, nil
+	}
+	ids := make([]int32, 0, bytes.Count(rest, []byte{' '})+1)
+	for more {
+		var f []byte
+		f, rest, more = bytes.Cut(rest, []byte{' '})
+		v, ok := parseCanonicalInt(f)
+		if !ok || v < 0 || v > math.MaxInt32 {
+			return similarity.Set{}, fmt.Errorf("core: canonical plan: placement row %d video %q", i, f)
+		}
+		ids = append(ids, int32(v))
+	}
+	set, err := similarity.FromAscending(ids)
+	if err != nil {
+		return similarity.Set{}, fmt.Errorf("core: canonical plan: placement row %d: %w", i, err)
+	}
+	return set, nil
 }
 
 // canonicalParser is a cursor over a canonical encoding.
@@ -253,19 +280,32 @@ func (cp *canonicalParser) literal(s string) error {
 	return nil
 }
 
-// int64Until consumes a decimal integer terminated by sep (consuming
-// the separator too).
+// int64Until consumes a canonical decimal integer terminated by sep
+// (consuming the separator too).
 func (cp *canonicalParser) int64Until(sep byte) (int64, error) {
 	i := bytes.IndexByte(cp.rest, sep)
 	if i < 0 {
 		return 0, fmt.Errorf("missing %q separator", sep)
 	}
-	v, err := strconv.ParseInt(string(cp.rest[:i]), 10, 64)
-	if err != nil {
-		return 0, err
+	v, ok := parseCanonicalInt(cp.rest[:i])
+	if !ok {
+		return 0, fmt.Errorf("bad integer %q", cp.rest[:i])
 	}
 	cp.rest = cp.rest[i+1:]
 	return v, nil
+}
+
+// int32Until is int64Until for a field that must fit int32 (hotspot and
+// video ids).
+func (cp *canonicalParser) int32Until(sep byte) (int32, error) {
+	v, err := cp.int64Until(sep)
+	if err != nil {
+		return 0, err
+	}
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("id %d outside the int32 range", v)
+	}
+	return int32(v), nil
 }
 
 // count consumes a non-negative section length terminated by newline,
@@ -283,6 +323,14 @@ func (cp *canonicalParser) count() (int64, error) {
 	return n, nil
 }
 
+// prealloc clamps a declared section length n to what the remaining
+// input could hold at minLine bytes per entry: a well-formed section is
+// sized exactly, while a corrupt header cannot force an allocation
+// larger than the input.
+func (cp *canonicalParser) prealloc(n int64, minLine int) int64 {
+	return min(n, int64(len(cp.rest)/minLine))
+}
+
 // line consumes through the next newline, returning the bytes before
 // it.
 func (cp *canonicalParser) line() ([]byte, error) {
@@ -293,4 +341,36 @@ func (cp *canonicalParser) line() ([]byte, error) {
 	out := cp.rest[:i]
 	cp.rest = cp.rest[i+1:]
 	return out, nil
+}
+
+// parseCanonicalInt parses b as a decimal int64 written exactly the way
+// strconv.AppendInt writes it: an optional '-', then digits with no
+// leading zero except "0" itself; "-0", a '+' sign, and out-of-range
+// values are rejected. Accepting only that form is what makes a parsed
+// plan re-encode to the input bytes.
+func parseCanonicalInt(b []byte) (int64, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	if len(b) == 0 || len(b) > 19 || (b[0] == '0' && (len(b) > 1 || neg)) {
+		return 0, false
+	}
+	var u uint64 // 19 digits cannot overflow a uint64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		u = u*10 + uint64(c-'0')
+	}
+	if neg {
+		if u > 1<<63 {
+			return 0, false
+		}
+		return -int64(u), true
+	}
+	if u > math.MaxInt64 {
+		return 0, false
+	}
+	return int64(u), true
 }

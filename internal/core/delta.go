@@ -453,19 +453,18 @@ func (s *Scheduler) replicateDelta(d *Demand, flows map[int64]int64, svc []int64
 
 	var lv *lambdaView
 	var cacheUsed []int
-	var stageA []similarity.Set
 	var freshOut, freshIn []map[trace.VideoID]int64
+	rows := s.ar.placementRows(m, s.world.NumVideos)
 	if skippedA {
 		redirects = ds.redirects
 		unrealized = ds.unrealized
 	} else {
 		lv = newLambdaView(d, m)
-		stageA = make([]similarity.Set, m)
-		for h := range stageA {
-			stageA[h] = make(similarity.Set)
-		}
 		cacheUsed = make([]int, m)
-		redirects, unrealized, _ = s.realizeFlows(flows, cache, lv, stageA, cacheUsed)
+		redirects, unrealized, _, err = s.realizeFlows(flows, cache, lv, rows, cacheUsed)
+		if err != nil {
+			return nil, nil, 0, 0, 0, false, err
+		}
 		if unrealized < 0 {
 			return nil, nil, 0, 0, 0, false, fmt.Errorf("core: negative unrealized flow %d (bug)", unrealized)
 		}
@@ -488,22 +487,23 @@ func (s *Scheduler) replicateDelta(d *Demand, flows map[int64]int64, svc []int64
 			continue
 		}
 		patched++
+		row := &rows[h]
 		if skippedA {
 			// Reconstruct the row's post-stage-A state from the
 			// retained footprints: stage A placed exactly the inbound
 			// redirect videos, and consumed outFoot[h] from the local
 			// demand.
-			pl := make(similarity.Set, len(ds.inFoot[h]))
 			for v := range ds.inFoot[h] {
-				pl.Add(int(v))
+				row.Add(int(v))
 			}
-			_, scratch = s.fillHotspot(d.PerVideo[h], ds.outFoot[h], pl, pl.Len(), cache[h], serveBudget[h], scratch)
-			placement[h] = pl
+			_, scratch, err = s.fillHotspot(d.PerVideo[h], ds.outFoot[h], row, row.Len(), cache[h], serveBudget[h], scratch)
 		} else {
-			pl := stageA[h]
-			_, scratch = s.fillHotspot(lv.row(h), nil, pl, cacheUsed[h], cache[h], serveBudget[h], scratch)
-			placement[h] = pl
+			_, scratch, err = s.fillHotspot(lv.row(h), nil, row, cacheUsed[h], cache[h], serveBudget[h], scratch)
 		}
+		if err != nil {
+			return nil, nil, 0, 0, 0, false, err
+		}
+		placement[h] = row.Set()
 	}
 	for h := 0; h < m; h++ {
 		replicas += int64(placement[h].Len())
@@ -547,24 +547,11 @@ func (ds *deltaState) diff(d *Demand, svc []int64, cache []int) (totalsOrSvcChan
 // replay.
 func (ds *deltaState) refreshClusters(s *Scheduler, d *Demand) ([]int, int, error) {
 	m := len(s.world.Hotspots)
-	counts := s.ar.counts
-	signature := func(h int) (similarity.Set, error) {
-		clear(counts)
-		for v, n := range d.PerVideo[h] {
-			counts[int(v)] = n
-		}
-		set, err := similarity.TopFraction(counts, s.params.TopFraction)
-		if err != nil {
-			return nil, fmt.Errorf("core: content signature of hotspot %d: %w", h, err)
-		}
-		return set, nil
-	}
-
 	if ds.sets == nil {
 		// Cold: compute everything, exactly like contentClusters.
 		ds.sets = make([]similarity.Set, m)
 		for h := 0; h < m; h++ {
-			set, err := signature(h)
+			set, err := s.signature(d, h)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -583,11 +570,11 @@ func (ds *deltaState) refreshClusters(s *Scheduler, d *Demand) ([]int, int, erro
 
 	var changed []int
 	for _, h := range ds.sigDirtyList {
-		set, err := signature(h)
+		set, err := s.signature(d, h)
 		if err != nil {
 			return nil, 0, err
 		}
-		if !setsEqual(set, ds.sets[h]) {
+		if !similarity.Equal(set, ds.sets[h]) {
 			ds.sets[h] = set
 			changed = append(changed, h)
 		}
@@ -598,7 +585,7 @@ func (ds *deltaState) refreshClusters(s *Scheduler, d *Demand) ([]int, int, erro
 		return ds.clusterOf, ds.nClusters, nil
 	}
 
-	// Patch the matrix rows of the changed signatures with the map
+	// Patch the matrix rows of the changed signatures with the Set
 	// kernel (documented exact-identical to DistanceMatrix's bitset
 	// kernel); above ~m/8 changed rows the full parallel recompute is
 	// cheaper than m serial evaluations per row.
@@ -759,19 +746,6 @@ func flowsEqual(a, b map[int64]int64) bool {
 	}
 	for k, f := range a {
 		if b[k] != f {
-			return false
-		}
-	}
-	return true
-}
-
-// setsEqual reports equality of two content signatures.
-func setsEqual(a, b similarity.Set) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for id := range a {
-		if !b.Contains(id) {
 			return false
 		}
 	}

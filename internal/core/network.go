@@ -292,15 +292,10 @@ func (s *Scheduler) buildNetworkIn(
 func (s *Scheduler) contentClusters(d *Demand) ([]int, int, error) {
 	m := len(s.world.Hotspots)
 	sets := make([]similarity.Set, m)
-	counts := s.ar.counts // reused across hotspots; TopFraction copies what it keeps
 	for h := 0; h < m; h++ {
-		clear(counts)
-		for v, n := range d.PerVideo[h] {
-			counts[int(v)] = n
-		}
-		set, err := similarity.TopFraction(counts, s.params.TopFraction)
+		set, err := s.signature(d, h)
 		if err != nil {
-			return nil, 0, fmt.Errorf("core: content signature of hotspot %d: %w", h, err)
+			return nil, 0, err
 		}
 		sets[h] = set
 	}
@@ -320,6 +315,21 @@ func (s *Scheduler) contentClusters(d *Demand) ([]int, int, error) {
 		}
 	}
 	return clusterOf, len(groups), nil
+}
+
+// signature returns hotspot h's content signature: its top
+// TopFraction demanded videos, ranked straight from the demand row.
+func (s *Scheduler) signature(d *Demand, h int) (similarity.Set, error) {
+	r := &s.ar.ranker
+	r.Reset()
+	for v, n := range d.PerVideo[h] {
+		r.Add(int(v), n)
+	}
+	set, err := r.TopFraction(s.params.TopFraction)
+	if err != nil {
+		return similarity.Set{}, fmt.Errorf("core: content signature of hotspot %d: %w", h, err)
+	}
+	return set, nil
 }
 
 // ThetaAnalysis reports, for a given θ, the size and effectiveness of

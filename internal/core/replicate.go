@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/similarity"
 	"repro/internal/trace"
@@ -31,14 +30,14 @@ func (s *Scheduler) replicate(d *Demand, flows map[int64]int64, svc []int64, cac
 	err error,
 ) {
 	m := len(s.world.Hotspots)
-	placement = make([]similarity.Set, m)
-	for h := range placement {
-		placement[h] = make(similarity.Set)
-	}
+	rows := s.ar.placementRows(m, s.world.NumVideos)
 	cacheUsed := make([]int, m)
 	lv := newLambdaView(d, m)
 
-	redirects, unrealized, replicas = s.realizeFlows(flows, cache, lv, placement, cacheUsed)
+	redirects, unrealized, replicas, err = s.realizeFlows(flows, cache, lv, rows, cacheUsed)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
 	serveBudget := s.fillBudgets(svc, redirects)
 
 	if s.params.BPeak > 0 {
@@ -58,8 +57,11 @@ func (s *Scheduler) replicate(d *Demand, flows map[int64]int64, svc []int64, cac
 				continue
 			}
 			for v, n := range lv.row(i) {
-				if n <= 0 || placement[i].Contains(int(v)) {
+				if n <= 0 || rows[i].Contains(int(v)) {
 					continue
+				}
+				if err := s.checkVideo(v); err != nil {
+					return nil, nil, 0, 0, err
 				}
 				fill = append(fill, localDemand{hotspot: i, video: v, count: n})
 			}
@@ -87,10 +89,9 @@ func (s *Scheduler) replicate(d *Demand, flows map[int64]int64, svc []int64, cac
 			if cacheUsed[ld.hotspot] >= cache[ld.hotspot] {
 				continue
 			}
-			if placement[ld.hotspot].Contains(int(ld.video)) {
+			if !rows[ld.hotspot].Add(int(ld.video)) {
 				continue
 			}
-			placement[ld.hotspot].Add(int(ld.video))
 			cacheUsed[ld.hotspot]++
 			replicas++
 			serveBudget[ld.hotspot] -= ld.count
@@ -106,7 +107,10 @@ func (s *Scheduler) replicate(d *Demand, flows map[int64]int64, svc []int64, cac
 		var scratch []fillCand
 		for i := 0; i < m; i++ {
 			var added int64
-			added, scratch = s.fillHotspot(lv.row(i), nil, placement[i], cacheUsed[i], cache[i], serveBudget[i], scratch)
+			added, scratch, err = s.fillHotspot(lv.row(i), nil, &rows[i], cacheUsed[i], cache[i], serveBudget[i], scratch)
+			if err != nil {
+				return nil, nil, 0, 0, err
+			}
 			replicas += added
 		}
 	}
@@ -114,7 +118,7 @@ func (s *Scheduler) replicate(d *Demand, flows map[int64]int64, svc []int64, cac
 	if unrealized < 0 {
 		return nil, nil, 0, 0, fmt.Errorf("core: negative unrealized flow %d (bug)", unrealized)
 	}
-	return redirects, placement, unrealized, replicas, nil
+	return redirects, emitPlacement(rows), unrealized, replicas, nil
 }
 
 // lambdaView is the remaining-local-demand vector λ_rem of Procedure 1,
@@ -170,75 +174,79 @@ func (lv *lambdaView) row(h int) map[trace.VideoID]int64 {
 // realizeFlows is stage A of Procedure 1: it converts the inter-hotspot
 // flows into per-video redirects in descending eu(v,j) order, placing
 // each redirected video at its target. It mutates lv (source rows),
-// placement, and cacheUsed (target rows) and returns the redirects, the
-// flow it could not realise, and the replicas it placed.
+// rows, and cacheUsed (target rows) and returns the redirects, the flow
+// it could not realise, and the replicas it placed.
 func (s *Scheduler) realizeFlows(
 	flows map[int64]int64,
 	cache []int,
 	lv *lambdaView,
-	placement []similarity.Set,
+	rows []similarity.BitSet,
 	cacheUsed []int,
-) (redirects []Redirect, unrealized int64, replicas int64) {
+) (redirects []Redirect, unrealized int64, replicas int64, err error) {
 	m := len(s.world.Hotspots)
 
-	// Remaining flow budget per (i, j) pair.
-	remaining := make(map[int64]int64, len(flows))
+	// Per-target source lists (SinktoSource(j) in the paper), ascending
+	// by source, each with the remaining flow budget of its (i, j) pair.
+	type flowSrc struct {
+		i   int
+		rem int64
+	}
+	sourcesOf := make([][]flowSrc, m)
+	var targets []int
 	var totalFlow int64
 	for k, f := range flows {
-		if f > 0 {
-			remaining[k] = f
-			totalFlow += f
+		if f <= 0 {
+			continue
 		}
-	}
-
-	// Per-target source lists (SinktoSource(j) in the paper).
-	sourcesOf := make(map[int][]int)
-	for k := range remaining {
 		i, j := unpackPair(k, m)
-		sourcesOf[j] = append(sourcesOf[j], i)
+		if len(sourcesOf[j]) == 0 {
+			targets = append(targets, j)
+		}
+		sourcesOf[j] = append(sourcesOf[j], flowSrc{i: i, rem: f})
+		totalFlow += f
 	}
-	for j := range sourcesOf {
-		sort.Ints(sourcesOf[j])
+	for _, j := range targets {
+		slices.SortFunc(sourcesOf[j], func(a, b flowSrc) int { return a.i - b.i })
 	}
 
 	// eu(v, j) under the current remaining flow and demand.
 	euOf := func(v trace.VideoID, j int) int64 {
 		var sum int64
-		for _, i := range sourcesOf[j] {
-			rem := remaining[pairKey(i, j, m)]
-			if rem <= 0 {
+		for _, src := range sourcesOf[j] {
+			if src.rem <= 0 {
 				continue
 			}
-			lam := lv.at(i, v)
+			lam := lv.at(src.i, v)
 			if lam <= 0 {
 				continue
 			}
-			if lam < rem {
-				sum += lam
-			} else {
-				sum += rem
-			}
+			sum += min(lam, src.rem)
 		}
 		return sum
 	}
 
-	// Seed the lazy max-heap over (v, j) with initial eu values. Every
-	// flow source materialises its λ_rem row here, before any read.
+	// Seed the lazy max-heap over (v, j) with initial eu values, then
+	// heapify once. Every flow source materialises its λ_rem row here,
+	// before any read.
 	var h euHeap
-	for j, srcs := range sourcesOf {
-		seen := make(map[trace.VideoID]struct{})
-		for _, i := range srcs {
-			for v := range lv.materialize(i) {
-				if _, dup := seen[v]; dup {
+	seen := similarity.NewBitSet(s.world.NumVideos)
+	for _, j := range targets {
+		seen.Reset()
+		for _, src := range sourcesOf[j] {
+			for v := range lv.materialize(src.i) {
+				if err := s.checkVideo(v); err != nil {
+					return nil, 0, 0, err
+				}
+				if !seen.Add(int(v)) {
 					continue
 				}
-				seen[v] = struct{}{}
 				if eu := euOf(v, j); eu > 0 {
-					h.push(euEntry{video: v, target: j, eu: eu})
+					h = append(h, euEntry{video: v, target: j, eu: eu})
 				}
 			}
 		}
 	}
+	h.init()
 
 	remainingTotal := totalFlow
 	for len(h) > 0 && remainingTotal > 0 {
@@ -255,36 +263,32 @@ func (s *Scheduler) realizeFlows(
 		j := top.target
 		v := top.video
 		// Redirecting v to j requires a replica at j.
-		if !placement[j].Contains(int(v)) {
+		if !rows[j].Contains(int(v)) {
 			if cacheUsed[j] >= cache[j] {
 				continue // target cache full; this (v, j) is unrealisable
 			}
-			placement[j].Add(int(v))
+			rows[j].Add(int(v))
 			cacheUsed[j]++
 			replicas++
 		}
-		for _, i := range sourcesOf[j] {
-			key := pairKey(i, j, m)
-			rem := remaining[key]
-			if rem <= 0 {
+		for k := range sourcesOf[j] {
+			src := &sourcesOf[j][k]
+			if src.rem <= 0 {
 				continue
 			}
-			row := lv.mod[i] // materialised at seeding
+			row := lv.mod[src.i] // materialised at seeding
 			lam := row[v]
 			if lam <= 0 {
 				continue
 			}
-			amt := lam
-			if rem < amt {
-				amt = rem
-			}
+			amt := min(lam, src.rem)
 			redirects = append(redirects, Redirect{
-				From:  trace.HotspotID(i),
+				From:  trace.HotspotID(src.i),
 				To:    trace.HotspotID(j),
 				Video: v,
 				Count: amt,
 			})
-			remaining[key] = rem - amt
+			src.rem -= amt
 			if lam == amt {
 				delete(row, v)
 			} else {
@@ -293,7 +297,16 @@ func (s *Scheduler) realizeFlows(
 			remainingTotal -= amt
 		}
 	}
-	return redirects, remainingTotal, replicas
+	return redirects, remainingTotal, replicas, nil
+}
+
+// checkVideo rejects a video id outside the catalogue [0, NumVideos)
+// before it is placed.
+func (s *Scheduler) checkVideo(v trace.VideoID) error {
+	if v < 0 || int(v) >= s.world.NumVideos {
+		return fmt.Errorf("core: demand for video %d outside the catalogue [0, %d)", v, s.world.NumVideos)
+	}
+	return nil
 }
 
 // fillBudgets computes the per-hotspot serve budget of the greedy fill.
@@ -323,57 +336,71 @@ type fillCand struct {
 	count int64
 }
 
+// cmpFill orders fill candidates by (count desc, video asc), the walk
+// order of the greedy local fill; it is a strict total order because a
+// row holds each video once.
+func cmpFill(a, b fillCand) int {
+	switch {
+	case a.count != b.count:
+		if a.count > b.count {
+			return -1
+		}
+		return 1
+	default:
+		return int(a.video) - int(b.video)
+	}
+}
+
 // fillHotspot runs one hotspot's greedy local fill: remaining local
 // demand in (count desc, video asc) order, bounded by cache space and
 // the serve budget. base is the hotspot's demand row; minus, when
 // non-nil, holds per-video amounts already redirected away (λ − minus
 // is the remaining demand — the delta path reconstructs λ_rem this way
 // from the retained redirect footprint). Non-positive remaining demand
-// and videos already placed are skipped. Returns the replicas added and
-// the (possibly grown) candidate scratch for reuse.
+// and videos already in row are skipped. The walk can place at most
+// cacheCap-used videos, so only that many best candidates are selected
+// and sorted. Returns the replicas added to row and the (possibly
+// grown) candidate scratch for reuse.
 func (s *Scheduler) fillHotspot(
 	base map[trace.VideoID]int64,
 	minus map[trace.VideoID]int64,
-	placement similarity.Set,
+	row *similarity.BitSet,
 	used, cacheCap int,
 	budget int64,
 	scratch []fillCand,
-) (int64, []fillCand) {
+) (int64, []fillCand, error) {
 	if used >= cacheCap || budget <= 0 {
-		return 0, scratch
+		return 0, scratch, nil
 	}
 	cands := scratch[:0]
 	for v, n := range base {
 		if minus != nil {
 			n -= minus[v]
 		}
-		if n <= 0 || placement.Contains(int(v)) {
+		if n <= 0 || row.Contains(int(v)) {
 			continue
+		}
+		if err := s.checkVideo(v); err != nil {
+			return 0, cands, err
 		}
 		cands = append(cands, fillCand{video: v, count: n})
 	}
-	slices.SortFunc(cands, func(a, b fillCand) int {
-		switch {
-		case a.count != b.count:
-			if a.count > b.count {
-				return -1
-			}
-			return 1
-		default:
-			return int(a.video) - int(b.video)
-		}
-	})
+	best := cands
+	if k := cacheCap - used; len(best) > k {
+		similarity.SelectTop(best, k, cmpFill)
+		best = best[:k]
+	}
+	slices.SortFunc(best, cmpFill)
 	var added int64
-	for _, c := range cands {
-		if budget <= 0 || used >= cacheCap {
+	for _, c := range best {
+		if budget <= 0 {
 			break
 		}
-		placement.Add(int(c.video))
-		used++
+		row.Add(int(c.video))
 		added++
 		budget -= c.count
 	}
-	return added, cands
+	return added, cands, nil
 }
 
 // euEntry is a (video, target) candidate keyed by its content-placement
@@ -402,6 +429,16 @@ func (h euHeap) less(a, b int) bool {
 	return h[a].video < h[b].video
 }
 
+// init establishes the heap order over arbitrary contents in O(n).
+// Heapifying instead of pushing one by one cannot change the pop
+// sequence: the heap holds at most one entry per (video, target) and
+// orders entries strictly by (eu, target, video).
+func (h euHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
+	}
+}
+
 func (h *euHeap) push(e euEntry) {
 	*h = append(*h, e)
 	s := *h
@@ -420,23 +457,26 @@ func (h *euHeap) pop() euEntry {
 	s := *h
 	n := len(s) - 1
 	s[0], s[n] = s[n], s[0]
-	// Sift the new root down over s[:n].
-	i := 0
+	s.down(0, n)
+	*h = s[:n]
+	return s[n]
+}
+
+// down sifts element i down over h[:n].
+func (h euHeap) down(i, n int) {
 	for {
 		j1 := 2*i + 1
 		if j1 >= n {
 			break
 		}
 		j := j1
-		if j2 := j1 + 1; j2 < n && s.less(j2, j1) {
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
 			j = j2
 		}
-		if !s.less(j, i) {
+		if !h.less(j, i) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
+		h[i], h[j] = h[j], h[i]
 		i = j
 	}
-	*h = s[:n]
-	return s[n]
 }

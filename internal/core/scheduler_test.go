@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -260,13 +261,8 @@ func TestDeterministicPlans(t *testing.T) {
 		}
 	}
 	for h := range p1.Placement {
-		if p1.Placement[h].Len() != p2.Placement[h].Len() {
-			t.Fatalf("placement at %d differs", h)
-		}
-		for v := range p1.Placement[h] {
-			if !p2.Placement[h].Contains(v) {
-				t.Fatalf("placement at %d differs on video %d", h, v)
-			}
+		if !similarity.Equal(p1.Placement[h], p2.Placement[h]) {
+			t.Fatalf("placement at %d differs: %v vs %v", h, p1.Placement[h].Sorted(), p2.Placement[h].Sorted())
 		}
 	}
 }

@@ -174,7 +174,7 @@ func TestCheckPlanNegative(t *testing.T) {
 		},
 		"cache-overflow": func(p *core.Plan) {
 			for v := world.NumVideos; p.Placement[0].Len() <= cache0; v++ {
-				p.Placement[0].Add(v)
+				p.Placement[0] = p.Placement[0].With(v)
 			}
 		},
 		"replica-ledger": func(p *core.Plan) {
@@ -326,13 +326,10 @@ func TestCheckAssignmentNegative(t *testing.T) {
 	t.Run("cache-overflow", func(t *testing.T) {
 		bad := *asg
 		bad.Placement = append([]similarity.Set(nil), asg.Placement...)
-		over := similarity.NewSet()
-		for v := range asg.Placement[0] {
-			over.Add(v)
-		}
+		over := asg.Placement[0]
 		cache := ctx.EffectiveCacheCapacity()
 		for v := world.NumVideos; over.Len() <= cache[0]; v++ {
-			over.Add(v)
+			over = over.With(v)
 		}
 		bad.Placement[0] = over
 		if _, err := CheckAssignment(ctx, &bad); err == nil {

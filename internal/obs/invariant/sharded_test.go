@@ -9,6 +9,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/shard"
 	"repro/internal/sim"
+	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -161,7 +162,13 @@ func TestShardedBoundaryCorruptionDetected(t *testing.T) {
 		},
 		"drop boundary placement at target": func(s *shard.Scheduler, plan *core.Plan) {
 			r := plan.Redirects[boundaryIdx]
-			delete(plan.Placement[r.To], int(r.Video))
+			var kept []int
+			for _, v := range plan.Placement[r.To].Sorted() {
+				if v != int(r.Video) {
+					kept = append(kept, v)
+				}
+			}
+			plan.Placement[r.To] = similarity.NewSet(kept...)
 		},
 		"re-strand moved flow at source": func(s *shard.Scheduler, plan *core.Plan) {
 			r := plan.Redirects[boundaryIdx]

@@ -257,7 +257,7 @@ func (p *Policy) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 					crossInflow[mv.target] -= mv.amt
 					continue
 				}
-				finalPlacement[mv.target].Add(v)
+				finalPlacement[mv.target] = finalPlacement[mv.target].With(v)
 				cacheUsed[mv.target]++
 			}
 			kept = append(kept, mv)

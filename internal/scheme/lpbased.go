@@ -209,7 +209,11 @@ func (s LPBased) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	placement := make([]similarity.Set, m)
 	cacheUsed := make([]int, m)
 	for h := 0; h < m; h++ {
-		placement[h] = topLocal(ctx.Demand.VideoCounts(h), cache[h])
+		set, err := similarity.TopK(ctx.Demand.VideoCounts(h), max(cache[h], 0))
+		if err != nil {
+			return nil, fmt.Errorf("scheme: placement at hotspot %d: %w", h, err)
+		}
+		placement[h] = set
 		cacheUsed[h] = placement[h].Len()
 	}
 
@@ -257,7 +261,7 @@ func (s LPBased) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 				if cacheUsed[sh.j] >= cache[sh.j] {
 					continue
 				}
-				placement[sh.j].Add(int(g.video))
+				placement[sh.j] = placement[sh.j].With(int(g.video))
 				cacheUsed[sh.j]++
 			}
 			routesOf[gKey(g.hotspot, g.video)] = append(routesOf[gKey(g.hotspot, g.video)],

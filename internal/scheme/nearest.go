@@ -7,7 +7,6 @@ package scheme
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/similarity"
@@ -32,49 +31,13 @@ func (Nearest) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	cache := ctx.EffectiveCacheCapacity()
 	placement := make([]similarity.Set, m)
 	for h := 0; h < m; h++ {
-		placement[h] = topLocal(ctx.Demand.VideoCounts(h), cache[h])
+		set, err := similarity.TopK(ctx.Demand.VideoCounts(h), max(cache[h], 0))
+		if err != nil {
+			return nil, fmt.Errorf("scheme: placement at hotspot %d: %w", h, err)
+		}
+		placement[h] = set
 	}
 	targets := make([]int, len(ctx.Requests))
 	copy(targets, ctx.Nearest)
 	return &sim.Assignment{Placement: placement, Target: targets}, nil
-}
-
-// topLocal returns the up-to-limit most demanded videos.
-func topLocal(counts map[int]int64, limit int) similarity.Set {
-	if limit <= 0 || len(counts) == 0 {
-		return similarity.Set{}
-	}
-	ranked := similarity.RankedIDs(counts)
-	if len(ranked) > limit {
-		ranked = ranked[:limit]
-	}
-	return similarity.NewSet(ranked...)
-}
-
-// videoCount pairs a video id with a demand count.
-type videoCount struct {
-	id int
-	n  int64
-}
-
-// topLocalPairs is topLocal over a pair slice, avoiding map overhead on
-// hot paths. The input slice is reordered.
-func topLocalPairs(pairs []videoCount, limit int) similarity.Set {
-	if limit <= 0 || len(pairs) == 0 {
-		return similarity.Set{}
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].n != pairs[b].n {
-			return pairs[a].n > pairs[b].n
-		}
-		return pairs[a].id < pairs[b].id
-	})
-	if len(pairs) > limit {
-		pairs = pairs[:limit]
-	}
-	out := make(similarity.Set, len(pairs))
-	for _, p := range pairs {
-		out.Add(p.id)
-	}
-	return out
 }

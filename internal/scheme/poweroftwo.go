@@ -32,7 +32,10 @@ func (p PowerOfTwo) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	if p.RadiusKm <= 0 {
 		return nil, fmt.Errorf("scheme: PowerOfTwo radius must be positive, got %v", p.RadiusKm)
 	}
-	placement, neighborsOf := neighborhoodPlacement(ctx, p.RadiusKm)
+	placement, neighborsOf, err := neighborhoodPlacement(ctx, p.RadiusKm)
+	if err != nil {
+		return nil, err
+	}
 
 	capLeft := append([]int64(nil), ctx.EffectiveCapacity()...)
 	targets := make([]int, len(ctx.Requests))
@@ -68,13 +71,14 @@ func (p PowerOfTwo) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 // each hotspot caches the most popular videos among the demand of
 // hotspots within the radius, and returns the per-hotspot neighbour
 // lists used for routing.
-func neighborhoodPlacement(ctx *sim.SlotContext, radiusKm float64) ([]similarity.Set, [][]int) {
+func neighborhoodPlacement(ctx *sim.SlotContext, radiusKm float64) ([]similarity.Set, [][]int, error) {
 	m := len(ctx.World.Hotspots)
 	cache := ctx.EffectiveCacheCapacity()
 	placement := make([]similarity.Set, m)
 	neighborsOf := make([][]int, m)
 	buf := make([]int64, ctx.World.NumVideos)
 	touched := make([]int, 0, 1024)
+	var rank similarity.Ranker
 	for h := 0; h < m; h++ {
 		nbrs := ctx.Index.Within(ctx.World.Hotspots[h].Location, radiusKm)
 		touched = touched[:0]
@@ -87,12 +91,16 @@ func neighborhoodPlacement(ctx *sim.SlotContext, radiusKm float64) ([]similarity
 				buf[v] += n
 			}
 		}
-		pairs := make([]videoCount, len(touched))
-		for i, v := range touched {
-			pairs[i] = videoCount{id: v, n: buf[v]}
+		rank.Reset()
+		for _, v := range touched {
+			rank.Add(v, buf[v])
 			buf[v] = 0
 		}
-		placement[h] = topLocalPairs(pairs, cache[h])
+		set, err := rank.TopK(max(cache[h], 0))
+		if err != nil {
+			return nil, nil, fmt.Errorf("scheme: placement at hotspot %d: %w", h, err)
+		}
+		placement[h] = set
 	}
-	return placement, neighborsOf
+	return placement, neighborsOf, nil
 }

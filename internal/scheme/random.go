@@ -30,7 +30,10 @@ func (r Random) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	}
 
 	// Cache the most popular videos of each hotspot's neighbourhood.
-	placement, neighborsOf := neighborhoodPlacement(ctx, r.RadiusKm)
+	placement, neighborsOf, err := neighborhoodPlacement(ctx, r.RadiusKm)
+	if err != nil {
+		return nil, err
+	}
 
 	// Route each request to a random in-radius holder with remaining
 	// capacity. The candidate set is the radius-neighbourhood of the

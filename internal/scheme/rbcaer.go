@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -76,27 +77,40 @@ func MaterializePlan(ctx *sim.SlotContext, plan *core.Plan) (*sim.Assignment, er
 	m := len(ctx.World.Hotspots)
 
 	// Redirect queues keyed by (source hotspot, video), and the inflow
-	// each target must reserve capacity for.
+	// each target must reserve capacity for. outVideos[h] lists the
+	// videos hotspot h redirects; packed into a Lookup it lets the
+	// per-request loop skip the queue map for the (majority of)
+	// requests that are not redirected.
 	type redirectQueue struct {
 		targets []int
 		counts  []int64
 	}
 	queues := make(map[int64]*redirectQueue)
 	inflow := make([]int64, m)
+	outVideos := make([][]int, m)
 	key := func(h int, v trace.VideoID) int64 {
 		return int64(h)*int64(ctx.World.NumVideos) + int64(v)
 	}
 	for _, rd := range plan.Redirects {
+		if int(rd.From) < 0 || int(rd.From) >= m || int(rd.To) < 0 || int(rd.To) >= m {
+			return nil, fmt.Errorf("scheme: plan redirect %d→%d outside the %d-hotspot fleet", rd.From, rd.To, m)
+		}
 		k := key(int(rd.From), rd.Video)
 		q := queues[k]
 		if q == nil {
 			q = &redirectQueue{}
 			queues[k] = q
+			outVideos[rd.From] = append(outVideos[rd.From], int(rd.Video))
 		}
 		q.targets = append(q.targets, int(rd.To))
 		q.counts = append(q.counts, rd.Count)
 		inflow[rd.To] += rd.Count
 	}
+	outSets := make([]similarity.Set, m)
+	for h, vs := range outVideos {
+		outSets[h] = similarity.NewSet(vs...)
+	}
+	redirected := similarity.NewLookup(outSets)
 
 	capacity := ctx.EffectiveCapacity()
 	localBudget := make([]int64, m)
@@ -108,20 +122,22 @@ func MaterializePlan(ctx *sim.SlotContext, plan *core.Plan) (*sim.Assignment, er
 		}
 	}
 
+	placed := similarity.NewLookup(plan.Placement)
 	targets := make([]int, len(ctx.Requests))
 	for r, req := range ctx.Requests {
 		h := ctx.Nearest[r]
-		if q, ok := queues[key(h, req.Video)]; ok && len(q.targets) > 0 {
-			j := q.targets[0]
-			targets[r] = j
-			q.counts[0]--
-			if q.counts[0] == 0 {
-				q.targets = q.targets[1:]
-				q.counts = q.counts[1:]
+		if redirected.Contains(h, int(req.Video)) {
+			if q := queues[key(h, req.Video)]; len(q.targets) > 0 {
+				targets[r] = q.targets[0]
+				q.counts[0]--
+				if q.counts[0] == 0 {
+					q.targets = q.targets[1:]
+					q.counts = q.counts[1:]
+				}
+				continue
 			}
-			continue
 		}
-		if localBudget[h] > 0 && plan.Placement[h].Contains(int(req.Video)) {
+		if localBudget[h] > 0 && placed.Contains(h, int(req.Video)) {
 			targets[r] = h
 			localBudget[h]--
 			continue

@@ -2,7 +2,6 @@ package scheme
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cache"
 	"repro/internal/sim"
@@ -108,11 +107,7 @@ func (p *Reactive) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	var newlyPlaced int64
 	for h := 0; h < m; h++ {
 		placement[h] = similarity.NewSet(p.caches[h].Items()...)
-		for v := range placement[h] {
-			if !p.prev[h].Contains(v) {
-				newlyPlaced++
-			}
-		}
+		newlyPlaced += int64(similarity.DifferenceLen(placement[h], p.prev[h]))
 	}
 
 	// Under cache degradation the device has lost cache space: only an
@@ -123,7 +118,7 @@ func (p *Reactive) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	if cache := ctx.CacheCapacity; cache != nil {
 		reported = make([]similarity.Set, m)
 		for h := 0; h < m; h++ {
-			reported[h] = trimSet(placement[h], cache[h])
+			reported[h] = placement[h].Prefix(cache[h])
 		}
 	}
 
@@ -149,21 +144,4 @@ func (p *Reactive) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	}
 	p.prev = placement
 	return &sim.Assignment{Placement: reported, Target: targets, ExtraReplicas: extra}, nil
-}
-
-// trimSet returns s when it fits limit, otherwise a deterministic
-// limit-sized subset (smallest ids kept).
-func trimSet(s similarity.Set, limit int) similarity.Set {
-	if s.Len() <= limit {
-		return s
-	}
-	if limit <= 0 {
-		return similarity.Set{}
-	}
-	ids := make([]int, 0, s.Len())
-	for v := range s {
-		ids = append(ids, v)
-	}
-	sort.Ints(ids)
-	return similarity.NewSet(ids[:limit]...)
 }

@@ -53,7 +53,7 @@ func TestNearestTargetsAndPlacement(t *testing.T) {
 			t.Fatalf("hotspot %d placement %d exceeds cache", h, placement.Len())
 		}
 		// Every placed video must have local demand.
-		for v := range placement {
+		for _, v := range placement.Sorted() {
 			if ctx.Demand.PerVideo[h][trace.VideoID(v)] == 0 {
 				t.Fatalf("hotspot %d cached video %d with no local demand", h, v)
 			}

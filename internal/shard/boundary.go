@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -39,8 +38,9 @@ type boundaryStats struct {
 // visited nearest-first (ties by index); videos largest-remaining-
 // demand first (ties by id).
 //
-// Placement sets may be shared with per-shard delta state that is
-// retained across rounds, so they are copied on first write.
+// Placement rows are immutable Sets, possibly shared with per-shard
+// delta state retained across rounds; adding a replica replaces the
+// row with a grown copy.
 func (s *Scheduler) reconcile(plan *core.Plan, d *core.Demand, svc []int64, cache []int) boundaryStats {
 	var bst boundaryStats
 	m := len(s.world.Hotspots)
@@ -95,20 +95,6 @@ func (s *Scheduler) reconcile(plan *core.Plan, d *core.Demand, svc []int64, cach
 		}
 		return ha < hb
 	})
-
-	cloned := make([]bool, m)
-	place := func(j int, v trace.VideoID) {
-		if !cloned[j] {
-			orig := plan.Placement[j]
-			cp := make(similarity.Set, orig.Len()+1)
-			for vid := range orig {
-				cp[vid] = struct{}{}
-			}
-			plan.Placement[j] = cp
-			cloned[j] = true
-		}
-		plan.Placement[j].Add(int(v))
-	}
 
 	type videoAvail struct {
 		v     trace.VideoID
@@ -190,7 +176,7 @@ func (s *Scheduler) reconcile(plan *core.Plan, d *core.Demand, svc []int64, cach
 					continue
 				}
 				if !placed {
-					place(j, v)
+					plan.Placement[j] = plan.Placement[j].With(int(v))
 					cacheFree[j]--
 					bst.replicasAdded++
 				}

@@ -39,7 +39,7 @@ func (resilientPolicy) Schedule(ctx *SlotContext) (*Assignment, error) {
 				continue
 			}
 			if placement[h].Len() < cache[h] {
-				placement[h].Add(v)
+				placement[h] = placement[h].With(v)
 			}
 		}
 	}

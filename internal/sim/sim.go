@@ -743,11 +743,7 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 			return fmt.Errorf("sim: %s slot %d: hotspot %d placement %d exceeds cache %d",
 				metrics.Scheme, slot, h, pl.Len(), cacheCap)
 		}
-		for v := range pl {
-			if prevPlacement[h] == nil || !prevPlacement[h].Contains(v) {
-				metrics.Replicas++
-			}
-		}
+		metrics.Replicas += int64(similarity.DifferenceLen(pl, prevPlacement[h]))
 	}
 
 	// Serve requests in order, enforcing placement and effective
@@ -763,10 +759,11 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 			capLeft[h] = 0
 		}
 	}
+	placed := similarity.NewLookup(asg.Placement)
 	for r, req := range requests {
 		target := asg.Target[r]
 		if target != CDN {
-			feasible := capLeft[target] > 0 && asg.Placement[target].Contains(int(req.Video))
+			feasible := capLeft[target] > 0 && placed.Contains(target, int(req.Video))
 			if !feasible {
 				metrics.Infeasible++
 				target = CDN

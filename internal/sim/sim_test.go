@@ -58,7 +58,7 @@ func placeEverything(ctx *SlotContext) []similarity.Set {
 		placement[h] = similarity.NewSet()
 		for v := range ctx.Demand.PerVideo[h] {
 			if placement[h].Len() < ctx.World.Hotspots[h].CacheCapacity {
-				placement[h].Add(int(v))
+				placement[h] = placement[h].With(int(v))
 			}
 		}
 	}
@@ -484,7 +484,7 @@ func (saltedPolicy) Schedule(ctx *SlotContext) (*Assignment, error) {
 				continue
 			}
 			if placement[h].Len() < ctx.World.Hotspots[h].CacheCapacity {
-				placement[h].Add(v)
+				placement[h] = placement[h].With(v)
 			}
 		}
 	}

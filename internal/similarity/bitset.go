@@ -8,9 +8,12 @@ import "math/bits"
 // what makes the word-parallel Jaccard kernel valid between them.
 //
 // The packed representation exists for the O(n²) pairwise-similarity
-// hot path: a Jaccard evaluation runs AND/OR + popcount over a few
-// dozen words instead of probing a hash map per member, and performs
-// zero allocations.
+// hot path and for per-request membership loops: a Jaccard evaluation
+// runs AND/OR + popcount over a few dozen words instead of merging two
+// sorted Sets, a membership test is one bit test instead of a binary
+// search, and neither allocates. Unlike a Set, a BitSet is mutable (Add,
+// Reset): it is also the working form a placement row is built in
+// before it is emitted as a Set.
 type BitSet struct {
 	base  int // smallest representable id, aligned down to a multiple of 64
 	words []uint64
@@ -19,37 +22,35 @@ type BitSet struct {
 
 // maxBitSetSpan bounds the id span (max id - min id) NewBitSets will
 // pack. Beyond it the dense representation would cost more memory than
-// the hash sets it replaces, so callers fall back to the map kernel.
+// the sorted Sets it mirrors, so callers fall back to the Set kernels.
 // 1<<21 bits is 256 KiB per set — far above any realistic video
 // catalogue in this repository.
 const maxBitSetSpan = 1 << 21
 
 // NewBitSets packs sets into BitSets sharing one base so they can be
 // compared with BitSet.Jaccard. It reports ok=false — and callers must
-// fall back to the map kernel — when the id span exceeds maxBitSetSpan.
+// fall back to the Set kernels — when the id span exceeds
+// maxBitSetSpan.
 func NewBitSets(sets []Set) ([]BitSet, bool) {
 	lo, hi := 0, 0
 	seen := false
 	for _, s := range sets {
-		for id := range s {
-			if !seen {
-				lo, hi = id, id
-				seen = true
-				continue
-			}
-			if id < lo {
-				lo = id
-			}
-			if id > hi {
-				hi = id
-			}
+		if len(s.ids) == 0 {
+			continue
 		}
+		first, last := int(s.ids[0]), int(s.ids[len(s.ids)-1])
+		if !seen {
+			lo, hi = first, last
+			seen = true
+			continue
+		}
+		lo, hi = min(lo, first), max(hi, last)
 	}
 	out := make([]BitSet, len(sets))
 	if !seen {
 		return out, true // all sets empty: zero words suffice
 	}
-	if span := hi - lo; span < 0 || span >= maxBitSetSpan {
+	if hi-lo >= maxBitSetSpan {
 		return nil, false
 	}
 	base := lo &^ 63 // align down so bit offsets stay non-negative
@@ -57,13 +58,78 @@ func NewBitSets(sets []Set) ([]BitSet, bool) {
 	words := make([]uint64, len(sets)*nWords) // one backing array for locality
 	for i, s := range sets {
 		w := words[i*nWords : (i+1)*nWords : (i+1)*nWords]
-		for id := range s {
-			off := id - base
+		for _, id := range s.ids {
+			off := int(id) - base
 			w[off>>6] |= 1 << (off & 63)
 		}
-		out[i] = BitSet{base: base, words: w, count: len(s)}
+		out[i] = BitSet{base: base, words: w, count: len(s.ids)}
 	}
 	return out, true
+}
+
+// NewBitSet returns an empty BitSet over the id universe [0, universe),
+// for building a set by Add and emitting it with Set.
+func NewBitSet(universe int) BitSet {
+	return BitSet{words: make([]uint64, (max(universe, 0)+63)/64)}
+}
+
+// Add inserts id and reports whether it was absent. id must lie in the
+// BitSet's universe; Add panics otherwise.
+func (b *BitSet) Add(id int) bool {
+	off := id - b.base
+	w, bit := &b.words[off>>6], uint64(1)<<(off&63)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	b.count++
+	return true
+}
+
+// Reset empties the BitSet, keeping its universe.
+func (b *BitSet) Reset() {
+	if b.count != 0 {
+		clear(b.words)
+		b.count = 0
+	}
+}
+
+// Set emits the members as an immutable Set by one ascending bit scan.
+func (b *BitSet) Set() Set {
+	if b.count == 0 {
+		return Set{}
+	}
+	ids := make([]int32, 0, b.count)
+	for wi, w := range b.words {
+		for w != 0 {
+			ids = append(ids, int32(b.base+wi<<6+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return Set{ids: ids}
+}
+
+// Lookup answers membership queries against a batch of Sets — one row
+// per Set — for per-request loops: one bit test on packed BitSets when
+// the batch packs (see NewBitSets), a binary search on the Set when its
+// id span is too sparse to pack.
+type Lookup struct {
+	sets []Set
+	bits []BitSet
+}
+
+// NewLookup packs sets for membership queries.
+func NewLookup(sets []Set) Lookup {
+	bs, _ := NewBitSets(sets) // nil when the batch does not pack
+	return Lookup{sets: sets, bits: bs}
+}
+
+// Contains reports whether id is a member of the row-th set.
+func (l *Lookup) Contains(row, id int) bool {
+	if l.bits != nil {
+		return l.bits[row].Contains(id)
+	}
+	return l.sets[row].Contains(id)
 }
 
 // Len returns the cardinality.
@@ -81,8 +147,8 @@ func (b *BitSet) Contains(id int) bool {
 // Jaccard returns |a ∩ b| / |a ∪ b| computed word-parallel with
 // popcounts. Both sets must come from the same NewBitSets batch (same
 // base); intersection and union are exact integers, so the result is
-// bit-identical to Jaccard over the equivalent map Sets. Two empty sets
-// have similarity 1, matching the map kernel's convention.
+// bit-identical to Jaccard over the equivalent Sets. Two empty sets
+// have similarity 1, matching the Set kernel's convention.
 func (b *BitSet) Jaccard(o *BitSet) float64 {
 	inter, union := 0, 0
 	wa, wb := b.words, o.words

@@ -7,11 +7,11 @@ import (
 )
 
 func randomSet(rng *rand.Rand, universe, size int) Set {
-	s := make(Set)
-	for k := 0; k < size; k++ {
-		s.Add(rng.Intn(universe))
+	ids := make([]int, size)
+	for k := range ids {
+		ids[k] = rng.Intn(universe)
 	}
-	return s
+	return NewSet(ids...)
 }
 
 // TestBitSetJaccardEquivalence is the golden equivalence contract: the
@@ -92,11 +92,11 @@ func TestBitSetNegativeIDs(t *testing.T) {
 // TestBitSetSpanFallback: a universe too sparse to pack must be
 // refused so DistanceMatrix falls back to the map kernel.
 func TestBitSetSpanFallback(t *testing.T) {
-	if _, ok := NewBitSets([]Set{NewSet(0, maxBitSetSpan + 1)}); ok {
+	if _, ok := NewBitSets([]Set{NewSet(0, maxBitSetSpan+1)}); ok {
 		t.Fatal("NewBitSets accepted a span beyond maxBitSetSpan")
 	}
 	// The matrix must still come out right via the fallback.
-	sets := []Set{NewSet(0, maxBitSetSpan + 1), NewSet(0), NewSet(maxBitSetSpan + 1)}
+	sets := []Set{NewSet(0, maxBitSetSpan+1), NewSet(0), NewSet(maxBitSetSpan + 1)}
 	d := DistanceMatrix(sets, 1)
 	if want := 1 - Jaccard(sets[0], sets[1]); d[0][1] != want {
 		t.Errorf("fallback matrix d[0][1] = %v, want %v", d[0][1], want)

@@ -15,11 +15,14 @@ func TestSetBasics(t *testing.T) {
 	if !s.Contains(1) || s.Contains(9) {
 		t.Error("Contains() wrong")
 	}
-	s.Add(9)
-	if !s.Contains(9) {
-		t.Error("Add() did not insert")
+	grown := s.With(9)
+	if !grown.Contains(9) || s.Contains(9) {
+		t.Error("With() must insert into a new set and leave the original unchanged")
 	}
-	got := s.Sorted()
+	if again := grown.With(9); !Equal(again, grown) {
+		t.Error("With() of a member changed the set")
+	}
+	got := grown.Sorted()
 	want := []int{1, 2, 3, 9}
 	for i := range want {
 		if got[i] != want[i] {
@@ -59,14 +62,8 @@ func TestJaccardKnownValues(t *testing.T) {
 func TestJaccardBoundsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func(na, nb uint8) bool {
-		a := make(Set)
-		b := make(Set)
-		for i := 0; i < int(na%40); i++ {
-			a.Add(rng.Intn(30))
-		}
-		for i := 0; i < int(nb%40); i++ {
-			b.Add(rng.Intn(30))
-		}
+		a := randomSet(rng, 30, int(na%40))
+		b := randomSet(rng, 30, int(nb%40))
 		j := Jaccard(a, b)
 		if j < 0 || j > 1 {
 			return false
@@ -137,23 +134,6 @@ func TestTopFraction(t *testing.T) {
 	}
 }
 
-func TestRankedIDs(t *testing.T) {
-	demand := map[int]int64{5: 1, 1: 9, 3: 9, 7: 4}
-	got := RankedIDs(demand)
-	want := []int{1, 3, 7, 5} // counts 9, 9 (tie → smaller id), 4, 1
-	if len(got) != len(want) {
-		t.Fatalf("RankedIDs() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RankedIDs() = %v, want %v", got, want)
-		}
-	}
-	if got := RankedIDs(nil); len(got) != 0 {
-		t.Errorf("RankedIDs(nil) = %v, want empty", got)
-	}
-}
-
 func TestTopKDeterministic(t *testing.T) {
 	demand := map[int]int64{}
 	for i := 0; i < 50; i++ {
@@ -168,13 +148,8 @@ func TestTopKDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(again) != len(first) {
-			t.Fatal("TopK not deterministic in size")
-		}
-		for id := range first {
-			if !again.Contains(id) {
-				t.Fatal("TopK not deterministic under map iteration order")
-			}
+		if !Equal(again, first) {
+			t.Fatal("TopK not deterministic under map iteration order")
 		}
 	}
 }
@@ -183,10 +158,7 @@ func TestDistanceMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	sets := make([]Set, 25)
 	for i := range sets {
-		sets[i] = NewSet()
-		for k := 0; k < 5+rng.Intn(20); k++ {
-			sets[i].Add(rng.Intn(60))
-		}
+		sets[i] = randomSet(rng, 60, 5+rng.Intn(20))
 	}
 
 	serial := DistanceMatrix(sets, 1)

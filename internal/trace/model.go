@@ -141,9 +141,24 @@ func (t *Trace) Validate(w *World) error {
 	return nil
 }
 
-// BySlot partitions requests by timeslot, preserving order.
+// BySlot partitions requests by timeslot, preserving order; a slot
+// with no requests gets nil. It counts each slot's requests first, so
+// every slot's slice is allocated once at its exact size (no append
+// regrowth) and is full: appending to one reallocates instead of
+// touching another slot. Slots get separate arrays rather than
+// windows into one, so a caller that keeps one slot's requests does
+// not keep the whole trace alive.
 func (t *Trace) BySlot() [][]Request {
+	counts := make([]int, t.Slots)
+	for _, r := range t.Requests {
+		counts[r.Slot]++
+	}
 	out := make([][]Request, t.Slots)
+	for s, n := range counts {
+		if n > 0 {
+			out[s] = make([]Request, 0, n)
+		}
+	}
 	for _, r := range t.Requests {
 		out[r.Slot] = append(out[r.Slot], r)
 	}

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geo"
@@ -75,6 +77,44 @@ func TestTraceBySlot(t *testing.T) {
 	}
 	if len(by[2]) != 2 || by[2][0].ID != 0 || by[2][1].ID != 2 {
 		t.Errorf("slot 2 = %v (order must be preserved)", by[2])
+	}
+}
+
+// TestTraceBySlotPartition checks BySlot against a plain append
+// partition on a random trace with empty slots: same order per slot,
+// nil for every empty slot, and each slot capped so that appending to
+// it cannot overwrite the next slot's requests.
+func TestTraceBySlotPartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const slots = 9
+	tr := &Trace{Slots: slots}
+	for i := 0; i < 400; i++ {
+		slot := rng.Intn(slots)
+		if slot%3 == 1 {
+			continue // slots 1, 4 and 7 stay empty
+		}
+		tr.Requests = append(tr.Requests, Request{ID: i, Slot: slot})
+	}
+	want := make([][]Request, slots)
+	for _, r := range tr.Requests {
+		want[r.Slot] = append(want[r.Slot], r)
+	}
+	by := tr.BySlot()
+	if !reflect.DeepEqual(by, want) {
+		t.Fatal("BySlot differs from the append partition")
+	}
+	for s, reqs := range by {
+		if s%3 == 1 && reqs != nil {
+			t.Errorf("empty slot %d = %v, want nil", s, reqs)
+		}
+		if cap(reqs) != len(reqs) {
+			t.Errorf("slot %d has cap %d beyond its %d requests", s, cap(reqs), len(reqs))
+		}
+	}
+	next := append([]Request(nil), by[2]...)
+	_ = append(by[0], Request{ID: -1, Slot: 0})
+	if !reflect.DeepEqual(by[2], next) || !reflect.DeepEqual(by, want) {
+		t.Fatal("appending to slot 0 changed another slot")
 	}
 }
 

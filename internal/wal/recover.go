@@ -151,6 +151,25 @@ func buildState(ckpt *Checkpoint, recs []record) *State {
 	pending := make(map[entryKey]int64)
 	queued := make(map[int]map[entryKey]int64)
 	queuedReqs := make(map[int]int64)
+	// place attributes demand accepted for slot: dropped when the
+	// slot's plan (or contract error) is durable, queued when the slot
+	// has durably drained, pending otherwise.
+	place := func(slot, hotspot, video int, count int64) {
+		switch {
+		case outcome[slot]:
+		case slot < drainedBound:
+			m := queued[slot]
+			if m == nil {
+				m = make(map[entryKey]int64)
+				queued[slot] = m
+			}
+			m[entryKey{hotspot, video}] += count
+			queuedReqs[slot] += count
+		default:
+			pending[entryKey{hotspot, video}] += count
+			st.PendingRequests += count
+		}
+	}
 	if ckpt != nil {
 		for _, q := range ckpt.Queue {
 			if outcome[q.Slot] {
@@ -166,29 +185,15 @@ func buildState(ckpt *Checkpoint, recs []record) *State {
 			}
 			queuedReqs[q.Slot] += q.Requests
 		}
+		// The checkpoint's pending demand was accepted for its open
+		// slot, ckpt.Slot, which may have drained (and been planned)
+		// after the capture.
+		for _, e := range ckpt.Pending {
+			place(ckpt.Slot, e.Hotspot, e.Video, e.Count)
+		}
 	}
 	for _, r := range ingests {
-		if outcome[r.slot] {
-			continue // consumed by a durable plan
-		}
-		if r.slot < drainedBound {
-			m := queued[r.slot]
-			if m == nil {
-				m = make(map[entryKey]int64)
-				queued[r.slot] = m
-			}
-			m[entryKey{r.hotspot, r.video}] += r.count
-			queuedReqs[r.slot] += r.count
-		} else {
-			pending[entryKey{r.hotspot, r.video}] += r.count
-			st.PendingRequests += r.count
-		}
-	}
-	if ckpt != nil {
-		for _, e := range ckpt.Pending {
-			pending[entryKey{e.Hotspot, e.Video}] += e.Count
-			st.PendingRequests += e.Count
-		}
+		place(r.slot, r.hotspot, r.video, r.count)
 	}
 
 	st.Pending = sortedEntries(pending)

@@ -14,15 +14,6 @@ import (
 	"repro/internal/similarity"
 )
 
-// mkset builds a placement set.
-func mkset(vs ...int) similarity.Set {
-	s := make(similarity.Set, len(vs))
-	for _, v := range vs {
-		s.Add(v)
-	}
-	return s
-}
-
 // testPlanBytes fabricates a small valid plan whose content varies
 // with epoch, returning its canonical bytes and digest. The bytes
 // round-trip through core.ParseCanonical, so verifyPlanBytes accepts
@@ -32,7 +23,7 @@ func testPlanBytes(t testing.TB, epoch int64) ([]byte, uint64) {
 	p := &core.Plan{
 		Flows:         []core.FlowEdge{{From: 0, To: 1, Amount: epoch + 3}},
 		Redirects:     []core.Redirect{{From: 1, To: 0, Video: 2, Count: epoch}},
-		Placement:     []similarity.Set{mkset(1, 2), mkset(0)},
+		Placement:     []similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(0)},
 		OverflowToCDN: []int64{0, epoch},
 	}
 	c := p.Canonical()
@@ -400,6 +391,114 @@ func TestCheckpointCursorSkip(t *testing.T) {
 	}
 	if st.Cursors[0] != 3 {
 		t.Errorf("cursor %d, want 3", st.Cursors[0])
+	}
+}
+
+// TestCheckpointPendingAttributedToItsSlot: a checkpoint's pending
+// demand belongs to its open slot. Once that slot drains after the
+// capture, the demand must be dropped (durable plan) or queued (no
+// plan yet), never restored as pending next to the next slot's demand.
+func TestCheckpointPendingAttributedToItsSlot(t *testing.T) {
+	canonical, digest := testPlanBytes(t, 1)
+	ckpt := func() *Checkpoint {
+		return &Checkpoint{
+			Slot:    3,
+			Cursors: map[int]uint64{0: 5},
+			Pending: []Entry{{Hotspot: 0, Video: 1, Count: 4}},
+		}
+	}
+	early := record{kind: recIngest, slot: 3, instance: 0, seq: 6, hotspot: 1, video: 2, count: 2}
+	late := record{kind: recIngest, slot: 4, instance: 0, seq: 7, hotspot: 2, video: 3, count: 1}
+	advance := record{kind: recAdvance, slot: 3}
+	plan := record{kind: recPlan, slot: 3, epoch: 1, digest: digest, canonical: canonical}
+
+	cases := []struct {
+		name        string
+		recs        []record
+		wantPending []Entry
+		wantQueue   []QueuedSlot
+	}{
+		{
+			name:        "drained and planned",
+			recs:        []record{early, advance, plan, late},
+			wantPending: []Entry{{Hotspot: 2, Video: 3, Count: 1}},
+		},
+		{
+			name:        "drained, plan not durable",
+			recs:        []record{early, advance, late},
+			wantPending: []Entry{{Hotspot: 2, Video: 3, Count: 1}},
+			wantQueue: []QueuedSlot{{Slot: 3, Requests: 6, Entries: []Entry{
+				{Hotspot: 0, Video: 1, Count: 4}, {Hotspot: 1, Video: 2, Count: 2}}}},
+		},
+		{
+			name:        "still open",
+			recs:        []record{early},
+			wantPending: []Entry{{Hotspot: 0, Video: 1, Count: 4}, {Hotspot: 1, Video: 2, Count: 2}},
+		},
+	}
+	for _, tc := range cases {
+		st := buildState(ckpt(), tc.recs)
+		var reqs int64
+		for _, e := range tc.wantPending {
+			reqs += e.Count
+		}
+		if !reflect.DeepEqual(st.Pending, tc.wantPending) || st.PendingRequests != reqs {
+			t.Errorf("%s: pending %+v (%d requests), want %+v (%d)", tc.name, st.Pending, st.PendingRequests, tc.wantPending, reqs)
+		}
+		if !reflect.DeepEqual(st.Queue, tc.wantQueue) {
+			t.Errorf("%s: queue %+v, want %+v", tc.name, st.Queue, tc.wantQueue)
+		}
+	}
+}
+
+// TestCrashAfterCheckpointedSlotPlanned replays the server's log
+// sequence around a checkpoint taken mid-slot: checkpoint (slot 0's
+// first two requests pending) → ingest → advance with a durable plan →
+// ingest → crash. Only the requests acknowledged after the last durable
+// slot may come back as pending.
+func TestCrashAfterCheckpointedSlotPlanned(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Policy: PolicyAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := must(t)
+	m(l.AppendIngest(0, 0, 1, 0, 0, 1))
+	lsn := m(l.AppendIngest(0, 0, 2, 1, 1, 1))
+	if err := l.Sync(lsn); err != nil {
+		t.Fatal(err)
+	}
+	cp := &Checkpoint{
+		Slot:    0,
+		Cursors: map[int]uint64{0: 2},
+		Pending: []Entry{{Hotspot: 0, Video: 0, Count: 1}, {Hotspot: 1, Video: 1, Count: 1}},
+	}
+	if err := l.WriteCheckpoint(cp, l.CurrentSegment()); err != nil {
+		t.Fatal(err)
+	}
+	m(l.AppendIngest(0, 0, 3, 2, 2, 1))
+	m(l.AppendAdvance(0))
+	canonical, digest := testPlanBytes(t, 1)
+	m(l.AppendPlan(0, 1, digest, canonical))
+	m(l.AppendIngest(1, 0, 4, 3, 3, 1))
+	lsn = m(l.AppendIngest(1, 0, 5, 3, 4, 1))
+	if err := l.Sync(lsn); err != nil {
+		t.Fatal(err)
+	}
+	l.Crash()
+
+	l2, st, err := Open(dir, Options{Policy: PolicyAlways})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer l2.Close()
+	want := []Entry{{Hotspot: 3, Video: 3, Count: 1}, {Hotspot: 3, Video: 4, Count: 1}}
+	if !reflect.DeepEqual(st.Pending, want) || st.PendingRequests != 2 {
+		t.Errorf("pending %+v (%d requests), want %+v (2 acknowledged after slot 0's plan)",
+			st.Pending, st.PendingRequests, want)
+	}
+	if len(st.Queue) != 0 || st.Slot != 1 {
+		t.Errorf("queue %+v, slot %d; want no queue and slot 1", st.Queue, st.Slot)
 	}
 }
 
