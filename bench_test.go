@@ -335,6 +335,29 @@ func BenchmarkGridNearest(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildSlotContext times the simulator's per-slot
+// aggregation on one eval-scale slot (310 hotspots, 15,190 videos,
+// 212,472 requests): every request's nearest hotspot plus the
+// per-hotspot per-video demand rows.
+func BenchmarkBuildSlotContext(b *testing.B) {
+	world, tr, err := trace.Generate(trace.EvalConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	index, err := world.Index()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.BuildSlotContext(world, index, 0, tr.Requests, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkJaccardTopSets(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	mkSet := func() similarity.Set {

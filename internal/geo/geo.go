@@ -30,6 +30,12 @@ func (p Point) DistanceTo(q Point) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
+// Finite reports whether both coordinates are finite (neither NaN nor
+// ±Inf).
+func (p Point) Finite() bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
+}
+
 // Add returns p translated by (dx, dy).
 func (p Point) Add(dx, dy float64) Point {
 	return Point{X: p.X + dx, Y: p.Y + dy}

@@ -6,8 +6,9 @@ import (
 	"sort"
 )
 
-// Grid is a uniform-grid spatial index over points with integer IDs.
-// It supports the three queries the simulator needs at scale:
+// Grid is an immutable uniform-grid spatial index over points with
+// integer IDs. It supports the three queries the simulator needs at
+// scale:
 //
 //   - Nearest: map each of hundreds of thousands of requests to its
 //     nearest content hotspot,
@@ -16,43 +17,83 @@ import (
 //   - Pairs: enumerate hotspot pairs closer than a radius (the
 //     measurement study's <5 km pair analyses).
 //
+// The points are stored once, cell-sorted in compressed-sparse-row
+// form: cell c (row-major, c = y*cols + x) holds positions
+// cellStart[c] to cellStart[c+1] of the flat pts/ids/order arrays,
+// in insertion order within the cell. A row of adjacent cells is
+// therefore one contiguous span, which is how every query reads them.
+// A Grid is built once by NewGrid and never mutated, so any number of
+// goroutines may query it concurrently.
+//
 // Points may lie outside the nominal bounds; they are clamped into the
 // boundary cells, so queries remain correct (if slower) for outliers.
 type Grid struct {
-	bounds   Rect
-	cellSize float64
-	cols     int
-	rows     int
-	cells    [][]int32 // cell -> point indexes
-	ids      []int
-	pts      []Point
+	bounds    Rect
+	cellSize  float64
+	cols      int
+	rows      int
+	cellStart []int32 // len cols*rows+1; cell c spans [cellStart[c], cellStart[c+1])
+	pts       []Point // point coordinates, cell-sorted
+	ids       []int   // caller IDs, cell-sorted
+	order     []int32 // insertion index of each cell-sorted position
+	invCell   float64 // 1/cellSize, for Nearest's query cell
+	margin    float64 // rounding allowance of Nearest's ring cut-off (see ringSlack)
 }
 
-// NewGrid creates an index over bounds with roughly cellSize-sized
-// cells. cellSize must be positive and bounds must be valid with
-// positive area.
-func NewGrid(bounds Rect, cellSize float64) (*Grid, error) {
+// NewGrid builds an index over bounds with roughly cellSize-sized
+// cells holding pts, where pts[i] is reported by queries as ids[i]. The
+// position in pts is the point's insertion index, which breaks exact
+// distance ties. IDs need not be unique or dense. cellSize must be
+// positive, bounds must be valid with positive area, and ids and pts
+// must have the same length.
+func NewGrid(bounds Rect, cellSize float64, ids []int, pts []Point) (*Grid, error) {
 	if !bounds.Valid() || bounds.Width() <= 0 || bounds.Height() <= 0 {
 		return nil, fmt.Errorf("geo: invalid grid bounds %+v", bounds)
 	}
-	if cellSize <= 0 {
+	if !(cellSize > 0) {
 		return nil, fmt.Errorf("geo: non-positive cell size %v", cellSize)
 	}
-	cols := int(math.Ceil(bounds.Width() / cellSize))
-	rows := int(math.Ceil(bounds.Height() / cellSize))
-	if cols < 1 {
-		cols = 1
+	if len(ids) != len(pts) {
+		return nil, fmt.Errorf("geo: %d ids for %d points", len(ids), len(pts))
 	}
-	if rows < 1 {
-		rows = 1
+	if len(pts) > math.MaxInt32 {
+		return nil, fmt.Errorf("geo: %d points exceed the index's int32 positions", len(pts))
 	}
-	return &Grid{
+	g := &Grid{
 		bounds:   bounds,
 		cellSize: cellSize,
-		cols:     cols,
-		rows:     rows,
-		cells:    make([][]int32, cols*rows),
-	}, nil
+		cols:     max(1, int(math.Ceil(bounds.Width()/cellSize))),
+		rows:     max(1, int(math.Ceil(bounds.Height()/cellSize))),
+		invCell:  1 / cellSize,
+	}
+	g.margin = 1e-12 * (math.Abs(bounds.MinX) + math.Abs(bounds.MinY) +
+		float64(g.cols+g.rows)*cellSize)
+	// Counting sort by cell: count, prefix-sum, then place each point
+	// at its cell's next free slot, which keeps insertion order within
+	// a cell.
+	cellOf := make([]int32, len(pts))
+	g.cellStart = make([]int32, g.cols*g.rows+1)
+	for i, p := range pts {
+		c := g.cellOf(p)
+		cellOf[i] = int32(c)
+		g.cellStart[c+1]++
+	}
+	for c := 1; c < len(g.cellStart); c++ {
+		g.cellStart[c] += g.cellStart[c-1]
+	}
+	next := make([]int32, g.cols*g.rows)
+	copy(next, g.cellStart)
+	g.pts = make([]Point, len(pts))
+	g.ids = make([]int, len(pts))
+	g.order = make([]int32, len(pts))
+	for i, p := range pts {
+		k := next[cellOf[i]]
+		next[cellOf[i]]++
+		g.pts[k] = p
+		g.ids[k] = ids[i]
+		g.order[k] = int32(i)
+	}
+	return g, nil
 }
 
 // Len returns the number of indexed points.
@@ -61,116 +102,139 @@ func (g *Grid) Len() int { return len(g.ids) }
 // Bounds returns the nominal bounds of the index.
 func (g *Grid) Bounds() Rect { return g.bounds }
 
-// Insert adds a point with the caller's identifier. IDs need not be
-// unique or dense; they are returned verbatim by queries.
-func (g *Grid) Insert(id int, p Point) {
-	idx := int32(len(g.ids))
-	g.ids = append(g.ids, id)
-	g.pts = append(g.pts, p)
-	c := g.cellOf(p)
-	g.cells[c] = append(g.cells[c], idx)
+// cellCoord maps a coordinate to its clamped cell column (or row) in
+// [0, n).
+func cellCoord(v, lo, cellSize float64, n int) int {
+	return clampCell((v-lo)/cellSize, n)
+}
+
+// clampCell truncates the fractional cell coordinate f into [0, n).
+// The clamp happens in floating point, so a huge or non-finite
+// coordinate lands in a boundary cell instead of overflowing the
+// integer conversion.
+func clampCell(f float64, n int) int {
+	switch {
+	case !(f > 0): // also NaN
+		return 0
+	case f >= float64(n):
+		return n - 1
+	}
+	return int(f)
 }
 
 func (g *Grid) cellOf(p Point) int {
-	cx := int((p.X - g.bounds.MinX) / g.cellSize)
-	cy := int((p.Y - g.bounds.MinY) / g.cellSize)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= g.cols {
-		cx = g.cols - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= g.rows {
-		cy = g.rows - 1
-	}
-	return cy*g.cols + cx
+	return cellCoord(p.Y, g.bounds.MinY, g.cellSize, g.rows)*g.cols +
+		cellCoord(p.X, g.bounds.MinX, g.cellSize, g.cols)
 }
+
+// ringSlack widens Nearest's ring cut-off by a relative 1e-9, and
+// Grid.margin narrows the ring bound by an absolute allowance scaled
+// to the grid's coordinates, so that rounding in cell assignment or in
+// the squared distances can never end the search a ring early; an
+// extra ring only costs time.
+const ringSlack = 1 + 1e-9
 
 // Nearest returns the ID and distance of the indexed point closest to
-// p. ok is false when the index is empty. Ties are broken by insertion
-// order.
+// p. Exact ties are broken by the lowest insertion index. ok is false
+// only when the index is empty or p is not finite: any finite query
+// finds its nearest point, even when the squared distances overflow.
 func (g *Grid) Nearest(p Point) (id int, dist float64, ok bool) {
-	if len(g.ids) == 0 {
+	if len(g.ids) == 0 || !p.Finite() {
 		return 0, 0, false
 	}
-	cx := int((p.X - g.bounds.MinX) / g.cellSize)
-	cy := int((p.Y - g.bounds.MinY) / g.cellSize)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= g.cols {
-		cx = g.cols - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= g.rows {
-		cy = g.rows - 1
-	}
-
-	best := -1
-	bestD := math.Inf(1)
-	maxRing := g.cols
-	if g.rows > g.cols {
-		maxRing = g.rows
-	}
-	for ring := 0; ring <= maxRing; ring++ {
-		// Once a candidate is found, one extra ring guarantees
-		// correctness: anything farther than (ring-1)*cellSize cannot
-		// beat a point already within that bound.
-		if best >= 0 && float64(ring-1)*g.cellSize > bestD {
+	// A multiply by the inverse cell size is cheaper than cellOf's
+	// divide; where the two round differently the query sits within
+	// rounding of the cell edge, which the cut-off's margin absorbs.
+	cx := clampCell((p.X-g.bounds.MinX)*g.invCell, g.cols)
+	cy := clampCell((p.Y-g.bounds.MinY)*g.invCell, g.rows)
+	s := nearestScan{x: p.X, y: p.Y, best: -1, bestD2: math.Inf(1)}
+	// The 3×3 block around the query cell is three row spans, middle
+	// row (with the query's own cell) first; it almost always holds
+	// the answer, so the ring-by-ring search starts beyond it.
+	g.rowSpan(&s, cy, cx-1, cx+1)
+	g.rowSpan(&s, cy-1, cx-1, cx+1)
+	g.rowSpan(&s, cy+1, cx-1, cx+1)
+	for ring := 2; ring < max(g.cols, g.rows); ring++ {
+		// Points in ring r are more than r-1 cells away, so once a
+		// candidate is that close nothing in this ring or beyond can
+		// beat it.
+		if lim := float64(ring-1)*g.cellSize - g.margin; s.best >= 0 && lim > 0 && lim*lim > s.bestD2*ringSlack {
 			break
 		}
-		g.forEachRingCell(cx, cy, ring, func(cell int) {
-			for _, idx := range g.cells[cell] {
-				d := p.DistanceTo(g.pts[idx])
-				if d < bestD {
-					bestD = d
-					best = int(idx)
-				}
-			}
-		})
+		g.scanRing(&s, cx, cy, ring)
 	}
-	if best < 0 {
-		return 0, 0, false
+	if s.best < 0 {
+		// Every squared distance overflowed to +Inf: the query is
+		// finite but astronomically far away. Compare true distances
+		// instead.
+		return g.nearestHypot(p)
 	}
-	return g.ids[best], bestD, true
+	return g.ids[s.best], math.Sqrt(s.bestD2), true
 }
 
-// forEachRingCell visits the cells forming the square ring at Chebyshev
-// distance ring from (cx, cy), skipping out-of-range cells.
-func (g *Grid) forEachRingCell(cx, cy, ring int, fn func(cell int)) {
-	if ring == 0 {
-		fn(cy*g.cols + cx)
+// nearestScan is Nearest's running minimum over squared distances.
+type nearestScan struct {
+	x, y   float64
+	best   int // cell-sorted position, -1 before the first candidate
+	bestD2 float64
+}
+
+// span folds the cell-sorted positions [lo, hi) into the minimum.
+func (g *Grid) span(s *nearestScan, lo, hi int32) {
+	x, y := s.x, s.y
+	best, bestD2 := s.best, s.bestD2
+	order := g.order
+	for k, pt := range g.pts[lo:hi] {
+		dx, dy := x-pt.X, y-pt.Y
+		if d2 := dx*dx + dy*dy; d2 <= bestD2 {
+			if i := int(lo) + k; d2 < bestD2 || (best >= 0 && order[i] < order[best]) {
+				best, bestD2 = i, d2
+			}
+		}
+	}
+	s.best, s.bestD2 = best, bestD2
+}
+
+// rowSpan folds the cells x0..x1 (clipped; the range always overlaps
+// the grid's columns) of row y into the minimum: one contiguous span
+// of the cell-sorted arrays.
+func (g *Grid) rowSpan(s *nearestScan, y, x0, x1 int) {
+	if y < 0 || y >= g.rows {
 		return
 	}
+	x0, x1 = max(x0, 0), min(x1, g.cols-1)
+	g.span(s, g.cellStart[y*g.cols+x0], g.cellStart[y*g.cols+x1+1])
+}
+
+// scanRing folds the square ring of cells at Chebyshev distance ring
+// from (cx, cy) into the minimum: its top and bottom rows as one span
+// each, then the single cells of its left and right columns.
+func (g *Grid) scanRing(s *nearestScan, cx, cy, ring int) {
 	x0, x1 := cx-ring, cx+ring
-	y0, y1 := cy-ring, cy+ring
-	for x := x0; x <= x1; x++ {
-		if x < 0 || x >= g.cols {
-			continue
-		}
-		if y0 >= 0 {
-			fn(y0*g.cols + x)
-		}
-		if y1 < g.rows {
-			fn(y1*g.cols + x)
-		}
-	}
-	for y := y0 + 1; y <= y1-1; y++ {
-		if y < 0 || y >= g.rows {
-			continue
-		}
+	g.rowSpan(s, cy-ring, x0, x1)
+	g.rowSpan(s, cy+ring, x0, x1)
+	for y := max(cy-ring+1, 0); y <= min(cy+ring-1, g.rows-1); y++ {
 		if x0 >= 0 {
-			fn(y*g.cols + x0)
+			g.rowSpan(s, y, x0, x0)
 		}
 		if x1 < g.cols {
-			fn(y*g.cols + x1)
+			g.rowSpan(s, y, x1, x1)
 		}
 	}
+}
+
+// nearestHypot is Nearest's overflow fallback: a linear scan comparing
+// math.Hypot distances, which stay finite wherever the true distance
+// is, with exact ties broken by the lowest insertion index.
+func (g *Grid) nearestHypot(p Point) (int, float64, bool) {
+	best, bestD := -1, 0.0
+	for k, pt := range g.pts {
+		d := math.Hypot(p.X-pt.X, p.Y-pt.Y)
+		if best < 0 || d < bestD || (d == bestD && g.order[k] < g.order[best]) {
+			best, bestD = k, d
+		}
+	}
+	return g.ids[best], bestD, true
 }
 
 // Neighbor is a query result: an indexed point's ID and its distance
@@ -187,11 +251,11 @@ func (g *Grid) Within(p Point, radius float64) []Neighbor {
 		return nil
 	}
 	var out []Neighbor
-	g.forEachCellNear(p, radius, func(cell int) {
-		for _, idx := range g.cells[cell] {
-			d := p.DistanceTo(g.pts[idx])
+	g.forEachSpanNear(p, radius, func(lo, hi int32) {
+		for k := lo; k < hi; k++ {
+			d := p.DistanceTo(g.pts[k])
 			if d <= radius {
-				out = append(out, Neighbor{ID: g.ids[idx], Distance: d})
+				out = append(out, Neighbor{ID: g.ids[k], Distance: d})
 			}
 		}
 	})
@@ -204,49 +268,16 @@ func (g *Grid) Within(p Point, radius float64) []Neighbor {
 	return out
 }
 
-// KNearest returns up to k nearest points to p sorted by ascending
-// distance.
-func (g *Grid) KNearest(p Point, k int) []Neighbor {
-	if k <= 0 || len(g.ids) == 0 {
-		return nil
-	}
-	// Expand the search radius geometrically until k points are found
-	// or the whole index is covered.
-	radius := g.cellSize
-	diag := g.bounds.Diagonal() + g.cellSize
-	for {
-		nbrs := g.Within(p, radius)
-		if len(nbrs) >= k || radius > diag {
-			if len(nbrs) > k {
-				nbrs = nbrs[:k]
-			}
-			return nbrs
-		}
-		radius *= 2
-	}
-}
-
-func (g *Grid) forEachCellNear(p Point, radius float64, fn func(cell int)) {
-	x0 := int((p.X - radius - g.bounds.MinX) / g.cellSize)
-	x1 := int((p.X + radius - g.bounds.MinX) / g.cellSize)
-	y0 := int((p.Y - radius - g.bounds.MinY) / g.cellSize)
-	y1 := int((p.Y + radius - g.bounds.MinY) / g.cellSize)
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 >= g.cols {
-		x1 = g.cols - 1
-	}
-	if y1 >= g.rows {
-		y1 = g.rows - 1
-	}
+// forEachSpanNear calls fn with the cell-sorted span of each row of
+// cells that the square of half-width radius around p overlaps, rows
+// ascending.
+func (g *Grid) forEachSpanNear(p Point, radius float64, fn func(lo, hi int32)) {
+	x0 := cellCoord(p.X-radius, g.bounds.MinX, g.cellSize, g.cols)
+	x1 := cellCoord(p.X+radius, g.bounds.MinX, g.cellSize, g.cols)
+	y0 := cellCoord(p.Y-radius, g.bounds.MinY, g.cellSize, g.rows)
+	y1 := cellCoord(p.Y+radius, g.bounds.MinY, g.cellSize, g.rows)
 	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			fn(y*g.cols + x)
-		}
+		fn(g.cellStart[y*g.cols+x0], g.cellStart[y*g.cols+x1+1])
 	}
 }
 
@@ -263,18 +294,21 @@ func (g *Grid) Pairs(radius float64) []Pair {
 	if radius < 0 {
 		return nil
 	}
+	pos := make([]int32, len(g.order)) // insertion index -> cell-sorted position
+	for k, i := range g.order {
+		pos[i] = int32(k)
+	}
 	var out []Pair
-	for i := range g.pts {
-		p := g.pts[i]
-		g.forEachCellNear(p, radius, func(cell int) {
-			for _, jdx := range g.cells[cell] {
-				j := int(jdx)
-				if j <= i {
+	for i, ki := range pos {
+		p := g.pts[ki]
+		g.forEachSpanNear(p, radius, func(lo, hi int32) {
+			for k := lo; k < hi; k++ {
+				if int(g.order[k]) <= i {
 					continue
 				}
-				d := p.DistanceTo(g.pts[j])
+				d := p.DistanceTo(g.pts[k])
 				if d <= radius {
-					out = append(out, Pair{A: g.ids[i], B: g.ids[j], Distance: d})
+					out = append(out, Pair{A: g.ids[ki], B: g.ids[k], Distance: d})
 				}
 			}
 		})

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sync"
 
@@ -97,11 +96,11 @@ func resolveIngest(world *trace.World, index *geo.Grid, req ingestRequest) (hots
 	if req.X == nil || req.Y == nil {
 		return 0, 0, fmt.Errorf("need either hotspot or both x and y")
 	}
-	x, y := *req.X, *req.Y
-	if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
-		return 0, 0, fmt.Errorf("non-finite location (%v, %v)", x, y)
+	loc := geo.Point{X: *req.X, Y: *req.Y}
+	if !loc.Finite() {
+		return 0, 0, fmt.Errorf("non-finite location (%v, %v)", loc.X, loc.Y)
 	}
-	h, _, ok := index.Nearest(geo.Point{X: x, Y: y})
+	h, _, ok := index.Nearest(loc)
 	if !ok {
 		return 0, 0, fmt.Errorf("no hotspot indexed")
 	}

@@ -10,7 +10,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -643,13 +642,17 @@ func scheduleSlot(world *trace.World, index *geo.Grid, policy Scheduler, opts Op
 		// received: the lagged slot's requests aggregated through
 		// *today's* online index, minus reports lost in flight. The
 		// simulator still serves (and accounts) the true requests.
-		reported := core.NewDemand(len(world.Hotspots))
-		for _, req := range w.reportRequests {
+		at := make([]int, len(w.reportRequests))
+		for r, req := range w.reportRequests {
 			h, _, ok := slotIndex.Nearest(req.Location)
 			if !ok {
-				continue
+				h = -1
 			}
-			reported.Add(trace.HotspotID(h), req.Video, 1)
+			at[r] = h
+		}
+		reported, err := aggregate(len(world.Hotspots), w.reportRequests, at)
+		if err != nil {
+			return err
 		}
 		if w.drops != nil {
 			for h, dropped := range w.drops {
@@ -896,14 +899,16 @@ func finalizeMetrics(world *trace.World, metrics *Metrics, distanceSum float64) 
 // policies and experiments that drive scheduling outside Run.
 func BuildSlotContext(world *trace.World, index *geo.Grid, slot int, requests []trace.Request, rng *rand.Rand) (*SlotContext, error) {
 	nearest := make([]int, len(requests))
-	demand := core.NewDemand(len(world.Hotspots))
 	for r, req := range requests {
 		h, _, ok := index.Nearest(req.Location)
 		if !ok {
 			return nil, fmt.Errorf("sim: no hotspot found for request %d", req.ID)
 		}
 		nearest[r] = h
-		demand.Add(trace.HotspotID(h), req.Video, 1)
+	}
+	demand, err := aggregate(len(world.Hotspots), requests, nearest)
+	if err != nil {
+		return nil, err
 	}
 	capacity := make([]int64, len(world.Hotspots))
 	for h := range world.Hotspots {
@@ -921,20 +926,74 @@ func BuildSlotContext(world *trace.World, index *geo.Grid, slot int, requests []
 	}, nil
 }
 
+// aggregate counts requests[r] for its video at hotspot at[r] (skipping
+// r when at[r] < 0) into a Demand over numHotspots hotspots. The video
+// ids are first counting-sorted by hotspot; each hotspot's run is then
+// tallied in one dense per-video scratch row, so its PerVideo map is
+// built once at its exact size with one insert per distinct video
+// instead of one map update per request. Hotspots without requests
+// keep a nil row, as with Demand.Add.
+func aggregate(numHotspots int, requests []trace.Request, at []int) (*core.Demand, error) {
+	d := core.NewDemand(numHotspots)
+	maxVideo := trace.VideoID(-1)
+	for r, h := range at {
+		if h < 0 {
+			continue
+		}
+		v := requests[r].Video
+		if v < 0 {
+			return nil, fmt.Errorf("sim: request %d has negative video %d", requests[r].ID, v)
+		}
+		maxVideo = max(maxVideo, v)
+		d.Totals[h]++
+	}
+	start := make([]int, numHotspots+1)
+	for h, n := range d.Totals {
+		start[h+1] = start[h] + int(n)
+	}
+	videos := make([]trace.VideoID, start[numHotspots])
+	next := append([]int(nil), start[:numHotspots]...)
+	for r, h := range at {
+		if h >= 0 {
+			videos[next[h]] = requests[r].Video
+			next[h]++
+		}
+	}
+	row := make([]int64, int(maxVideo)+1)
+	var distinct []trace.VideoID
+	for h := 0; h < numHotspots; h++ {
+		run := videos[start[h]:start[h+1]]
+		if len(run) == 0 {
+			continue
+		}
+		distinct = distinct[:0]
+		for _, v := range run {
+			if row[v] == 0 {
+				distinct = append(distinct, v)
+			}
+			row[v]++
+		}
+		m := make(map[trace.VideoID]int64, len(distinct))
+		for _, v := range distinct {
+			m[v] = row[v]
+			row[v] = 0
+		}
+		d.PerVideo[h] = m
+	}
+	return d, nil
+}
+
 // onlineIndex builds a spatial index over the world's online hotspots.
 func onlineIndex(world *trace.World, offline []bool) (*geo.Grid, error) {
-	cell := 1.0
-	if n := len(world.Hotspots); n > 0 {
-		cell = math.Max(0.05, math.Sqrt(world.Bounds.Area()/float64(n)))
-	}
-	g, err := geo.NewGrid(world.Bounds, cell)
-	if err != nil {
-		return nil, fmt.Errorf("sim: building online index: %w", err)
-	}
+	var ids []trace.HotspotID
 	for _, h := range world.Hotspots {
 		if !offline[h.ID] {
-			g.Insert(int(h.ID), h.Location)
+			ids = append(ids, h.ID)
 		}
+	}
+	g, err := world.IndexOf(ids)
+	if err != nil {
+		return nil, fmt.Errorf("sim: building online index: %w", err)
 	}
 	return g, nil
 }

@@ -37,15 +37,52 @@ func BenchmarkJaccardBitset(b *testing.B) {
 	}
 }
 
+// signatureSets draws n top-k content signatures of size ids each
+// from a catalogue the way the clustering stage sees them: almost all
+// members come from a popular head of 1,000 videos that every hotspot
+// shares (scattered over the catalogue's id range), the rest from the
+// long tail, so the batch's union is a small fraction of the catalogue.
+func signatureSets(rng *rand.Rand, n, size, catalogue int) []Set {
+	head := rng.Perm(catalogue)[:1000]
+	sets := make([]Set, n)
+	for i := range sets {
+		seen := make(map[int]bool, size)
+		ids := make([]int, 0, size)
+		for len(ids) < size {
+			id := rng.Intn(catalogue)
+			if rng.Float64() < 0.97 {
+				id = head[rng.Intn(len(head))]
+			}
+			if !seen[id] {
+				seen[id] = true
+				ids = append(ids, id)
+			}
+		}
+		sets[i] = NewSet(ids...)
+	}
+	return sets
+}
+
 func BenchmarkDistanceMatrix(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	sets := make([]Set, 200)
-	for i := range sets {
-		sets[i] = randomSet(rng, 4000, 150)
+	uniform := make([]Set, 200)
+	for i := range uniform {
+		uniform[i] = randomSet(rng, 4000, 150)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = DistanceMatrix(sets, 1)
+	for _, bc := range []struct {
+		name string
+		sets []Set
+	}{
+		{"uniform", uniform},
+		// 310 hotspot signatures of ~60 videos from a 15k catalogue:
+		// the eval-scale clustering batch.
+		{"signatures", signatureSets(rng, 310, 60, 15000)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = DistanceMatrix(bc.sets, 1)
+			}
+		})
 	}
 }

@@ -32,22 +32,9 @@ const maxBitSetSpan = 1 << 21
 // fall back to the Set kernels — when the id span exceeds
 // maxBitSetSpan.
 func NewBitSets(sets []Set) ([]BitSet, bool) {
-	lo, hi := 0, 0
-	seen := false
-	for _, s := range sets {
-		if len(s.ids) == 0 {
-			continue
-		}
-		first, last := int(s.ids[0]), int(s.ids[len(s.ids)-1])
-		if !seen {
-			lo, hi = first, last
-			seen = true
-			continue
-		}
-		lo, hi = min(lo, first), max(hi, last)
-	}
 	out := make([]BitSet, len(sets))
-	if !seen {
+	lo, hi, nonEmpty := idSpan(sets)
+	if !nonEmpty {
 		return out, true // all sets empty: zero words suffice
 	}
 	if hi-lo >= maxBitSetSpan {
@@ -65,6 +52,23 @@ func NewBitSets(sets []Set) ([]BitSet, bool) {
 		out[i] = BitSet{base: base, words: w, count: len(s.ids)}
 	}
 	return out, true
+}
+
+// idSpan returns the smallest and largest member over sets; nonEmpty
+// is false when every set is empty.
+func idSpan(sets []Set) (lo, hi int, nonEmpty bool) {
+	for _, s := range sets {
+		if len(s.ids) == 0 {
+			continue
+		}
+		first, last := int(s.ids[0]), int(s.ids[len(s.ids)-1])
+		if !nonEmpty {
+			lo, hi, nonEmpty = first, last, true
+			continue
+		}
+		lo, hi = min(lo, first), max(hi, last)
+	}
+	return lo, hi, nonEmpty
 }
 
 // NewBitSet returns an empty BitSet over the id universe [0, universe),

@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -256,5 +257,99 @@ func TestLookupMatchesSets(t *testing.T) {
 				t.Fatalf("Lookup.Contains(%d, span) disagrees with the Set", row)
 			}
 		}
+	}
+}
+
+// refDistanceMatrix is the sorted-merge kernel applied pair by pair.
+func refDistanceMatrix(sets []Set) [][]float64 {
+	d := make([][]float64, len(sets))
+	for i := range sets {
+		d[i] = make([]float64, len(sets))
+		for j := range sets {
+			if i != j {
+				d[i][j] = JaccardDistance(sets[i], sets[j])
+			}
+		}
+	}
+	return d
+}
+
+// TestDistanceMatrixMatchesMergeKernel pins DistanceMatrix — packed
+// over the batch's compacted universe, or the merge fallback when the
+// raw span is too wide — to the Set merge kernel bit for bit, on the
+// batch shapes the compaction could get wrong.
+func TestDistanceMatrixMatchesMergeKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	overlap := make([]Set, 30)
+	for i := range overlap {
+		overlap[i] = randomSet(rng, 90, 60) // heavy overlap on a tiny universe
+	}
+	sparse := make([]Set, 12)
+	for i := range sparse {
+		ids := make([]int, 1+rng.Intn(40))
+		for k := range ids {
+			ids[k] = rng.Intn(50) * 9973 // few distinct ids spread over a wide span
+		}
+		sparse[i] = NewSet(ids...)
+	}
+	mixed := make([]Set, 25)
+	for i := range mixed {
+		if i%3 != 0 {
+			mixed[i] = randomSet(rng, 500, 1+rng.Intn(50))
+		}
+	}
+	negative := []Set{NewSet(-70, -3, 0, 64), NewSet(-3, 64, 65), NewSet(-200, 5000)}
+	tests := []struct {
+		name string
+		sets []Set
+	}{
+		{"empty batch", nil},
+		{"one set", []Set{NewSet(3, 900, 15000)}},
+		{"all empty", make([]Set, 5)},
+		{"heavy overlap", overlap},
+		{"wide sparse span", sparse},
+		{"mixed empty and non-empty", mixed},
+		{"negative ids", negative},
+		{"span beyond maxBitSetSpan", []Set{NewSet(0, 7, maxBitSetSpan+5), NewSet(7), NewSet(maxBitSetSpan + 5), {}}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			want := refDistanceMatrix(tt.sets)
+			for _, workers := range []int{1, 3} {
+				got := DistanceMatrix(tt.sets, workers)
+				if len(got) != len(want) {
+					t.Fatalf("workers=%d: %d rows, want %d", workers, len(got), len(want))
+				}
+				for i := range want {
+					for j := range want[i] {
+						if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+							t.Fatalf("workers=%d: d[%d][%d] = %v, merge kernel %v", workers, i, j, got[i][j], want[i][j])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCompactBitSetsUniverse checks that the packed rows span the
+// batch's union, not its raw id range, and that a raw span beyond
+// maxBitSetSpan is refused so DistanceMatrix takes the merge kernel.
+func TestCompactBitSetsUniverse(t *testing.T) {
+	sets := []Set{NewSet(10, 20000, 40000), NewSet(20000, 90000), {}}
+	bs, ok := compactBitSets(sets)
+	if !ok {
+		t.Fatal("compactBitSets refused a packable batch")
+	}
+	for i, b := range bs {
+		if len(b.words) > 1 {
+			t.Errorf("set %d packed into %d words, want 1 for a 4-id union", i, len(b.words))
+		}
+		if b.Len() != sets[i].Len() {
+			t.Errorf("set %d has %d members packed, want %d", i, b.Len(), sets[i].Len())
+		}
+	}
+	if _, ok := compactBitSets([]Set{NewSet(0), NewSet(maxBitSetSpan)}); ok {
+		t.Error("compactBitSets packed a raw span beyond maxBitSetSpan")
 	}
 }

@@ -9,6 +9,7 @@ package similarity
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/par"
@@ -156,9 +157,10 @@ func JaccardDistance(a, b Set) float64 { return 1 - Jaccard(a, b) }
 // DistanceMatrix computes the full pairwise JaccardDistance matrix of
 // sets. The O(n²) pair evaluations — the dominant cost of the
 // content-clustering stage on large fleets — run on the packed BitSet
-// popcount kernel (falling back to the sorted-merge kernel when the id
-// universe is too sparse to pack) and fan out over workers goroutines
-// (0 selects GOMAXPROCS, 1 is serial); rows are striped across workers
+// popcount kernel over the batch's compacted universe (see
+// compactBitSets; falling back to the sorted-merge kernel when even
+// that is too large to pack) and fan out over workers goroutines (0
+// selects GOMAXPROCS, 1 is serial); rows are striped across workers
 // and each unordered pair is computed exactly once, so the result is
 // identical for every worker count — and, because both kernels compute
 // the same exact integer intersection/union, identical between kernels
@@ -173,7 +175,7 @@ func DistanceMatrix(sets []Set, workers int) [][]float64 {
 	// Row i computes the upper triangle j > i and mirrors into d[j][i];
 	// every cell has exactly one writer, so no synchronisation is
 	// needed. Striding balances the shrinking rows across workers.
-	if bs, ok := NewBitSets(sets); ok {
+	if bs, ok := compactBitSets(sets); ok {
 		par.Strided(n, par.Workers(workers), func(i int) {
 			bi := &bs[i]
 			for j := i + 1; j < n; j++ {
@@ -192,6 +194,51 @@ func DistanceMatrix(sets []Set, workers int) [][]float64 {
 		}
 	})
 	return d
+}
+
+// compactBitSets packs sets for the pairwise kernel after relabelling
+// every id to its rank in the ascending union of the batch. A batch of
+// top-k signatures draws on a small slice of a large catalogue, so the
+// ranks span a few dozen words where the raw ids span hundreds; the
+// relabelling is a bijection on the union, so every intersection and
+// union count — and therefore every distance — is unchanged. The union
+// is found by marking the members in one bitmap over the raw id span,
+// whose prefix popcounts then give each id's rank in O(1); ok is false
+// when that span exceeds maxBitSetSpan, the bound NewBitSets applies.
+func compactBitSets(sets []Set) ([]BitSet, bool) {
+	out := make([]BitSet, len(sets))
+	lo, hi, nonEmpty := idSpan(sets)
+	if !nonEmpty {
+		return out, true // all sets empty: zero words suffice
+	}
+	if hi-lo >= maxBitSetSpan {
+		return nil, false
+	}
+	marks := make([]uint64, (hi-lo)/64+1)
+	for _, s := range sets {
+		for _, id := range s.ids {
+			off := int(id) - lo
+			marks[off>>6] |= 1 << (off & 63)
+		}
+	}
+	rankBefore := make([]int32, len(marks)) // union members below each mark word
+	universe := 0
+	for w, m := range marks {
+		rankBefore[w] = int32(universe)
+		universe += bits.OnesCount64(m)
+	}
+	nWords := (universe + 63) / 64
+	words := make([]uint64, len(sets)*nWords) // one backing array for locality
+	for i, s := range sets {
+		w := words[i*nWords : (i+1)*nWords : (i+1)*nWords]
+		for _, id := range s.ids {
+			off := int(id) - lo
+			r := int(rankBefore[off>>6]) + bits.OnesCount64(marks[off>>6]&(1<<(off&63)-1))
+			w[r>>6] |= 1 << (r & 63)
+		}
+		out[i] = BitSet{words: w, count: len(s.ids)}
+	}
+	return out, true
 }
 
 // TopFraction returns the items accounting for the top frac of entries

@@ -91,6 +91,9 @@ func (w *World) Validate() error {
 		if int(h.ID) != i {
 			return fmt.Errorf("trace: hotspot %d has ID %d (IDs must be dense)", i, h.ID)
 		}
+		if !h.Location.Finite() {
+			return fmt.Errorf("trace: hotspot %d has non-finite location %v", i, h.Location)
+		}
 		if h.ServiceCapacity < 0 {
 			return fmt.Errorf("trace: hotspot %d has negative service capacity", i)
 		}
@@ -101,19 +104,37 @@ func (w *World) Validate() error {
 	return nil
 }
 
-// Index builds a spatial index over the world's hotspots for
-// nearest/range queries. Cell size is chosen for ~1 hotspot per cell.
+// Index builds a spatial index over all of the world's hotspots for
+// nearest/range queries.
 func (w *World) Index() (*geo.Grid, error) {
+	ids := make([]HotspotID, len(w.Hotspots))
+	for i, h := range w.Hotspots {
+		ids[i] = h.ID
+	}
+	return w.IndexOf(ids)
+}
+
+// IndexOf builds a spatial index over the listed hotspots, inserted in
+// list order (which breaks exact nearest-distance ties) and reported by
+// their IDs. Cell size is chosen for ~1 listed hotspot per cell, never
+// below 50 m. Every ID must be a valid hotspot index.
+func (w *World) IndexOf(ids []HotspotID) (*geo.Grid, error) {
 	cell := 1.0
-	if n := len(w.Hotspots); n > 0 {
+	if n := len(ids); n > 0 {
 		cell = math.Max(0.05, math.Sqrt(w.Bounds.Area()/float64(n)))
 	}
-	g, err := geo.NewGrid(w.Bounds, cell)
+	gridIDs := make([]int, len(ids))
+	pts := make([]geo.Point, len(ids))
+	for i, h := range ids {
+		if h < 0 || int(h) >= len(w.Hotspots) {
+			return nil, fmt.Errorf("trace: indexing hotspot %d outside [0, %d)", h, len(w.Hotspots))
+		}
+		gridIDs[i] = int(h)
+		pts[i] = w.Hotspots[h].Location
+	}
+	g, err := geo.NewGrid(w.Bounds, cell, gridIDs, pts)
 	if err != nil {
 		return nil, fmt.Errorf("trace: building hotspot index: %w", err)
-	}
-	for _, h := range w.Hotspots {
-		g.Insert(int(h.ID), h.Location)
 	}
 	return g, nil
 }
@@ -136,6 +157,9 @@ func (t *Trace) Validate(w *World) error {
 		}
 		if int(r.Video) < 0 || int(r.Video) >= w.NumVideos {
 			return fmt.Errorf("trace: request %d video %d outside [0, %d)", i, r.Video, w.NumVideos)
+		}
+		if !r.Location.Finite() {
+			return fmt.Errorf("trace: request %d has non-finite location %v", i, r.Location)
 		}
 	}
 	return nil

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -24,6 +26,8 @@ func TestWorldValidate(t *testing.T) {
 		{"non-dense ids", func(w *World) { w.Hotspots[1].ID = 5 }},
 		{"negative capacity", func(w *World) { w.Hotspots[0].ServiceCapacity = -1 }},
 		{"negative cache", func(w *World) { w.Hotspots[0].CacheCapacity = -1 }},
+		{"nan location", func(w *World) { w.Hotspots[1].Location.X = math.NaN() }},
+		{"inf location", func(w *World) { w.Hotspots[0].Location.Y = math.Inf(-1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -56,6 +60,34 @@ func TestTraceValidate(t *testing.T) {
 	badVideo := &Trace{Slots: 2, Requests: []Request{{Video: 100, Slot: 0}}}
 	if err := badVideo.Validate(w); err == nil {
 		t.Error("Validate(video out of range) succeeded")
+	}
+}
+
+// TestTraceValidateNonFiniteLocation feeds ReadRequests the non-finite
+// coordinates strconv.ParseFloat accepts: the parse succeeds, and
+// Validate must then reject the trace before it reaches the nearest-
+// hotspot aggregation.
+func TestTraceValidateNonFiniteLocation(t *testing.T) {
+	for _, tt := range []struct{ name, x, y string }{
+		{"nan x", "NaN", "1.0"},
+		{"nan y", "1.0", "nan"},
+		{"inf x", "Inf", "1.0"},
+		{"-inf y", "1.0", "-Inf"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			data := "id,user,video,x,y,slot\n0,1,2," + tt.x + "," + tt.y + ",0\n"
+			tr, err := ReadRequests(strings.NewReader(data))
+			if err != nil {
+				t.Fatalf("ReadRequests(%q): %v", data, err)
+			}
+			if err := tr.Validate(testWorld()); err == nil {
+				t.Errorf("Validate accepted request location (%s, %s)", tt.x, tt.y)
+			}
+		})
+	}
+	far := &Trace{Slots: 1, Requests: []Request{{Video: 2, Location: geo.Point{X: 1e200, Y: 5}}}}
+	if err := far.Validate(testWorld()); err != nil {
+		t.Errorf("Validate rejected a finite far-away location: %v", err)
 	}
 }
 
@@ -115,6 +147,22 @@ func TestTraceBySlotPartition(t *testing.T) {
 	_ = append(by[0], Request{ID: -1, Slot: 0})
 	if !reflect.DeepEqual(by[2], next) || !reflect.DeepEqual(by, want) {
 		t.Fatal("appending to slot 0 changed another slot")
+	}
+}
+
+func TestWorldIndexOf(t *testing.T) {
+	w := testWorld()
+	idx, err := w.IndexOf([]HotspotID{1})
+	if err != nil {
+		t.Fatalf("IndexOf: %v", err)
+	}
+	if id, _, ok := idx.Nearest(geo.Point{X: 1, Y: 2}); idx.Len() != 1 || !ok || id != 1 {
+		t.Errorf("IndexOf([1]) = %d points, nearest (%d, %v), want only hotspot 1", idx.Len(), id, ok)
+	}
+	for _, bad := range []HotspotID{-1, 2} {
+		if _, err := w.IndexOf([]HotspotID{0, bad}); err == nil {
+			t.Errorf("IndexOf accepted hotspot %d", bad)
+		}
 	}
 }
 
