@@ -5,11 +5,10 @@
 // matches the root bench_test.go configuration, so numbers are
 // comparable with `go test -bench=BenchmarkSchedule -benchmem .`. The
 // Server* lines measure the online service's ingest and lookup hot
-// paths through its real HTTP handlers (socketless), ScheduleDelta
-// measures incremental rounds over a pre-generated drifting demand
-// sequence, and the ServeReplay/instances=N lines replay a ServeGen
-// open-loop workload (≥1M requests in full mode) through 1/2/4/8
-// frontend instances, reporting end-to-end throughput.
+// paths through its real HTTP handlers (socketless), and the
+// ServeReplay/instances=N lines replay a ServeGen open-loop workload
+// (≥1M requests in full mode) through 1/2/4/8 frontend instances,
+// reporting end-to-end throughput.
 package main
 
 import (
@@ -24,7 +23,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -94,53 +92,9 @@ func scheduleDemand(quick bool) (*trace.World, *core.Demand, error) {
 	return world, ctx.Demand, nil
 }
 
-// driftDemands pre-generates the delta benchmark's slot sequence: each
-// step clones its predecessor and moves ~10% of the request mass at two
-// hotspots between videos already in those hotspots' working sets, so
-// per-hotspot totals (and hence the flow network) stay fixed while the
-// demand mix drifts the way successive live slots do.
-func driftDemands(base *core.Demand, steps int) []*core.Demand {
-	rng := rand.New(rand.NewSource(17))
-	out := make([]*core.Demand, steps)
-	out[0] = base
-	for s := 1; s < steps; s++ {
-		d := out[s-1].Clone()
-		for k := 0; k < 2; k++ {
-			h := rng.Intn(d.NumHotspots())
-			row := d.PerVideo[h]
-			if len(row) < 2 {
-				continue
-			}
-			videos := make([]trace.VideoID, 0, len(row))
-			for v := range row {
-				videos = append(videos, v)
-			}
-			slices.Sort(videos)
-			move := d.Totals[h] / 10
-			for i := 0; move > 0 && i < 64; i++ {
-				src := videos[rng.Intn(len(videos))]
-				dst := videos[rng.Intn(len(videos))]
-				if src == dst || row[src] == 0 {
-					continue
-				}
-				n := min(move, row[src])
-				row[src] -= n
-				if row[src] == 0 {
-					delete(row, src)
-				}
-				row[dst] += n
-				move -= n
-			}
-		}
-		out[s] = d
-	}
-	return out
-}
-
 // benchmarks assembles the headline suite: the end-to-end scheduling
-// round at the determinism-contract worker counts, the incremental
-// delta round over a drifting demand sequence, the Jaccard kernel
-// pair, and the arena-reuse MCMF solve.
+// round at the determinism-contract worker counts, the sharded round,
+// the Jaccard kernel pair, and the arena-reuse MCMF solve.
 func benchmarks(quick bool) ([]namedBench, error) {
 	world, demand, err := scheduleDemand(quick)
 	if err != nil {
@@ -168,31 +122,6 @@ func benchmarks(quick bool) ([]namedBench, error) {
 			},
 		})
 	}
-
-	deltaParams := core.DefaultParams()
-	deltaParams.DeltaThreshold = core.DefaultDeltaThreshold
-	deltaSched, err := core.New(world, deltaParams)
-	if err != nil {
-		return nil, err
-	}
-	deltaDemands := driftDemands(demand, 64)
-	// Warm the retained state with one cold solve so every measured
-	// iteration is an incremental round (or, on the cycle wrap-around,
-	// a drift fallback — the steady-state mix a long-running server sees).
-	if _, err := deltaSched.Schedule(deltaDemands[0]); err != nil {
-		return nil, err
-	}
-	out = append(out, namedBench{
-		name: "ScheduleDelta",
-		fn: func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := deltaSched.Schedule(deltaDemands[1+i%(len(deltaDemands)-1)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-	})
 
 	// Sharded round: grid-partitioned shards solved concurrently over
 	// a bounded pool, then boundary reconciliation. Same demand as the

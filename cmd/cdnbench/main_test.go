@@ -102,7 +102,6 @@ func TestBenchmarkSuiteShape(t *testing.T) {
 		"Schedule/workers=1",
 		"Schedule/workers=4",
 		"Schedule/workers=8",
-		"ScheduleDelta",
 		"ScheduleSharded",
 		"JaccardSet",
 		"JaccardBitset",

@@ -85,14 +85,6 @@ func TestCrashSmoke(t *testing.T) {
 	}
 }
 
-// TestSmokeDelta mirrors the CI delta-scheduling smoke step: the same
-// replay with incremental rounds, plans digest-identical slot by slot.
-func TestSmokeDelta(t *testing.T) {
-	if err := run([]string{"-smoke", "-delta", "-seed", "3"}); err != nil {
-		t.Fatalf("run -smoke -delta: %v", err)
-	}
-}
-
 // TestSmokeMultiInstance mirrors the CI multi-instance smoke step:
 // ring-sharded ingestion across three frontends plus the open-loop
 // phase.

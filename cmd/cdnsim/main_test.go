@@ -145,7 +145,7 @@ func TestRunSharded(t *testing.T) {
 	worldPath, tracePath := writeTinyWorld(t)
 	for _, args := range [][]string{
 		{"-shard-cell-km", "4"},
-		{"-shards", "3", "-delta"},
+		{"-shards", "3"},
 	} {
 		err := run(append([]string{"-world", worldPath, "-trace", tracePath, "-scheme", "rbcaer", "-json"}, args...))
 		if err != nil {

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/cluster"
@@ -119,33 +120,6 @@ type Params struct {
 	// preallocated ranges, so plans are identical for every value.
 	Workers int
 
-	// DeltaThreshold enables incremental delta scheduling when > 0:
-	// the scheduler retains the previous round's demand snapshot, flow
-	// solution, and over/under partition, and re-solves only what a
-	// demand diff invalidates, reusing the rest verbatim (see
-	// DESIGN.md §12). A round falls back to a full solve when the
-	// fraction of hotspots whose demand changed exceeds the threshold
-	// (1 disables drift fallback entirely). Delta rounds are certified
-	// digest-identical to full solves by the differential suite.
-	//
-	// Enabling delta mode imposes a caller contract: the *Demand passed
-	// to ScheduleRound is retained by reference until the next round and
-	// must not be mutated afterwards. Delta rounds ignore Params.Deadline
-	// (their whole point is bounded latency), and DeltaThreshold is
-	// incompatible with BPeak > 0 (the replica cap is a global budget
-	// that per-hotspot patching cannot preserve).
-	DeltaThreshold float64
-	// FullSolveEvery forces a periodic full solve every N delta rounds
-	// regardless of drift (0 disables the periodic fallback). Only
-	// meaningful when DeltaThreshold > 0.
-	FullSolveEvery int
-	// DeltaVerify shadow-runs the full solver alongside every delta
-	// round and compares Plan.Digest(); on mismatch the full plan wins,
-	// the retained delta state is dropped, and a verify-mismatch counter
-	// is published. Expensive — a debugging/soak aid, not a production
-	// setting.
-	DeltaVerify bool
-
 	// Obs, when non-nil, receives the round's metrics: logical
 	// counters and histograms (deterministic for any Workers count)
 	// plus wall-clock phase timers (core.phase.*, nondeterministic and
@@ -158,11 +132,6 @@ type Params struct {
 	// flush. Off (the zero value) skips event assembly entirely.
 	RecordEvents bool
 }
-
-// DefaultDeltaThreshold is the drift-fallback fraction the cmd-level
-// -delta flags use: a delta round re-solves from scratch when more than
-// a quarter of the hotspots' demand changed since the previous slot.
-const DefaultDeltaThreshold = 0.25
 
 // DefaultParams returns the paper's evaluation parameters:
 // θ1 = 0.5 km, θ2 = 1.5 km, δd = 0.5 km, top-20% signatures, complete
@@ -183,6 +152,20 @@ func DefaultParams() Params {
 
 // Validate checks the parameters.
 func (p Params) Validate() error {
+	// NaN fails every ordered comparison, so the range checks below
+	// would pass it (and ±Inf where a bound is one-sided).
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Theta1", p.Theta1}, {"Theta2", p.Theta2}, {"DeltaD", p.DeltaD},
+		{"ClusterCut", p.ClusterCut}, {"TopFraction", p.TopFraction},
+		{"FillOverprovision", p.FillOverprovision},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	if p.Theta1 < 0 || p.Theta2 < p.Theta1 {
 		return fmt.Errorf("core: need 0 <= Theta1 <= Theta2, got %v, %v", p.Theta1, p.Theta2)
 	}
@@ -221,15 +204,6 @@ func (p Params) Validate() error {
 	}
 	if p.Deadline < 0 {
 		return fmt.Errorf("core: negative Deadline %v", p.Deadline)
-	}
-	if p.DeltaThreshold < 0 || p.DeltaThreshold > 1 {
-		return fmt.Errorf("core: DeltaThreshold must be in [0,1], got %v", p.DeltaThreshold)
-	}
-	if p.FullSolveEvery < 0 {
-		return fmt.Errorf("core: negative FullSolveEvery %d", p.FullSolveEvery)
-	}
-	if p.DeltaThreshold > 0 && p.BPeak > 0 {
-		return fmt.Errorf("core: DeltaThreshold is incompatible with BPeak > 0 (global replica cap cannot be patched per hotspot)")
 	}
 	return nil
 }
@@ -369,21 +343,6 @@ type Stats struct {
 	// served at their own aggregation hotspot contribute 0. The
 	// paper's replication cost Ω2 is Stats.Replicas.
 	Omega1Km float64
-	// DeltaRound reports the round ran on the incremental delta path
-	// (Params.DeltaThreshold > 0 and no fallback fired). The digest of a
-	// delta plan is certified identical to the full solve's.
-	DeltaRound bool
-	// DeltaFallback reports a delta-mode round fell back to a full
-	// solve (drift above DeltaThreshold, the FullSolveEvery period, or
-	// a dropped retained state). The very first round of a delta-mode
-	// scheduler is a cold full solve, not a fallback.
-	DeltaFallback bool
-	// SweepReplayed reports the round reused the previous round's θ-sweep
-	// flow solution verbatim instead of re-running MCMF.
-	SweepReplayed bool
-	// PatchedRows is the number of per-hotspot plan rows (placement +
-	// fill) rebuilt by a delta round; the remaining rows were reused.
-	PatchedRows int
 	// Phases is the round's wall-clock breakdown into the cluster /
 	// balance / replicate phases. Populated only when observability is
 	// enabled (Params.Obs or Params.RecordEvents); wall-clock values

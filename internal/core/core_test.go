@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -50,6 +51,7 @@ func TestParamsValidate(t *testing.T) {
 		{"bad guide cost", func(p *Params) { p.GuideCost = GuideCostMode(9) }},
 		{"bad algorithm", func(p *Params) { p.Algorithm = mcmf.Algorithm(9) }},
 		{"negative bpeak", func(p *Params) { p.BPeak = -1 }},
+		{"nan theta2", func(p *Params) { p.Theta2 = math.NaN() }},
 	}
 	for _, tt := range mutations {
 		t.Run(tt.name, func(t *testing.T) {

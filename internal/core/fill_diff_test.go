@@ -13,15 +13,12 @@ import (
 // refFill is the greedy local fill fillHotspot replaced: a map
 // placement, every candidate fully sorted by (count desc, video asc),
 // walked until the cache or the serve budget runs out.
-func refFill(base, minus map[trace.VideoID]int64, placed map[int]bool, used, cacheCap int, budget int64) int64 {
+func refFill(base map[trace.VideoID]int64, placed map[int]bool, used, cacheCap int, budget int64) int64 {
 	if used >= cacheCap || budget <= 0 {
 		return 0
 	}
 	var cands []fillCand
 	for v, n := range base {
-		if minus != nil {
-			n -= minus[v]
-		}
 		if n <= 0 || placed[int(v)] {
 			continue
 		}
@@ -48,8 +45,7 @@ func refFill(base, minus map[trace.VideoID]int64, placed map[int]bool, used, cac
 
 // TestFillHotspotMatchesFullSort compares the selection-based fill on a
 // dense BitSet row against the full-sort map reference on random rows
-// with heavy count ties, partial pre-placement, and a redirected-away
-// amount (the delta path's minus row).
+// with heavy count ties and partial pre-placement.
 func TestFillHotspotMatchesFullSort(t *testing.T) {
 	w := lineWorld(2, 0.5, 10, 10)
 	s, err := New(w, DefaultParams())
@@ -64,15 +60,6 @@ func TestFillHotspotMatchesFullSort(t *testing.T) {
 		for i := rng.Intn(150); i > 0; i-- {
 			base[trace.VideoID(rng.Intn(200))] = int64(rng.Intn(5)) // zero counts and ties
 		}
-		var minus map[trace.VideoID]int64
-		if trial%2 == 1 {
-			minus = make(map[trace.VideoID]int64)
-			for v := range base {
-				if rng.Intn(3) == 0 {
-					minus[v] = int64(rng.Intn(3))
-				}
-			}
-		}
 		row.Reset()
 		placed := make(map[int]bool)
 		for i := rng.Intn(20); i > 0; i-- {
@@ -84,9 +71,9 @@ func TestFillHotspotMatchesFullSort(t *testing.T) {
 		cacheCap := used + rng.Intn(60) - 5
 		budget := int64(rng.Intn(250)) - 10
 
-		want := refFill(base, minus, placed, used, cacheCap, budget)
+		want := refFill(base, placed, used, cacheCap, budget)
 		var got int64
-		got, scratch, err = s.fillHotspot(base, minus, &row, used, cacheCap, budget, scratch)
+		got, scratch, err = s.fillHotspot(base, &row, used, cacheCap, budget, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -103,36 +103,17 @@ func (s *Scheduler) buildNetwork(
 	clusterOf []int,
 	useGuides bool,
 ) *flowNet {
-	return s.buildNetworkIn(s.ar.g, &s.ar.net, theta, over, under, phiOver, phiUnder, dc, clusterOf, useGuides)
-}
-
-// buildNetworkIn is buildNetwork with an explicit destination: the graph
-// is rebuilt in g (Reinit, storage retained) and the result shell is
-// written into *shell (edges capacity retained). The arena's
-// epoch-stamped tables and candidate scratch are shared across
-// destinations — only one network is ever under construction at a time.
-// The delta path uses this to record each θ iteration's network into its
-// own retained graph so the next round can replay the sweep.
-func (s *Scheduler) buildNetworkIn(
-	g *mcmf.Graph,
-	shell *flowNet,
-	theta float64,
-	over, under []int,
-	phiOver, phiUnder []int64,
-	dc *distCache,
-	clusterOf []int,
-	useGuides bool,
-) *flowNet {
 	ar := s.ar
 	ar.epoch++
+	g := ar.g
 	g.Reinit(2)
 	const (
 		source = 0
 		sink   = 1
 	)
 
-	*shell = flowNet{g: g, source: source, sink: sink, edges: shell.edges[:0]}
-	nb := shell
+	ar.net = flowNet{g: g, source: source, sink: sink, edges: ar.net.edges[:0]}
+	nb := &ar.net
 
 	// Candidate pairs within θ, grouped by under-utilised target.
 	// candsOf is indexed alongside under; the O(|Hs|·|Ht|) enumeration

@@ -102,12 +102,11 @@ func (s *Scheduler) replicate(d *Demand, flows map[int64]int64, svc []int64, cac
 		// per-hotspot, and the global (count desc, hotspot asc, video
 		// asc) order restricted to one hotspot is (count desc, video
 		// asc): the walk decomposes into independent per-hotspot fills
-		// in ascending hotspot order with identical output. The delta
-		// path patches exactly these rows.
+		// in ascending hotspot order with identical output.
 		var scratch []fillCand
 		for i := 0; i < m; i++ {
 			var added int64
-			added, scratch, err = s.fillHotspot(lv.row(i), nil, &rows[i], cacheUsed[i], cache[i], serveBudget[i], scratch)
+			added, scratch, err = s.fillHotspot(lv.row(i), &rows[i], cacheUsed[i], cache[i], serveBudget[i], scratch)
 			if err != nil {
 				return nil, nil, 0, 0, err
 			}
@@ -353,17 +352,13 @@ func cmpFill(a, b fillCand) int {
 
 // fillHotspot runs one hotspot's greedy local fill: remaining local
 // demand in (count desc, video asc) order, bounded by cache space and
-// the serve budget. base is the hotspot's demand row; minus, when
-// non-nil, holds per-video amounts already redirected away (λ − minus
-// is the remaining demand — the delta path reconstructs λ_rem this way
-// from the retained redirect footprint). Non-positive remaining demand
-// and videos already in row are skipped. The walk can place at most
-// cacheCap-used videos, so only that many best candidates are selected
-// and sorted. Returns the replicas added to row and the (possibly
+// the serve budget. base is the hotspot's remaining demand row;
+// non-positive remaining demand and videos already in row are skipped.
+// The walk can place at most cacheCap-used videos, so only that many
+// best candidates are selected and sorted. Returns the replicas added to row and the (possibly
 // grown) candidate scratch for reuse.
 func (s *Scheduler) fillHotspot(
 	base map[trace.VideoID]int64,
-	minus map[trace.VideoID]int64,
 	row *similarity.BitSet,
 	used, cacheCap int,
 	budget int64,
@@ -374,9 +369,6 @@ func (s *Scheduler) fillHotspot(
 	}
 	cands := scratch[:0]
 	for v, n := range base {
-		if minus != nil {
-			n -= minus[v]
-		}
 		if n <= 0 || row.Contains(int(v)) {
 			continue
 		}

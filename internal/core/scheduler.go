@@ -10,7 +10,6 @@ import (
 	"repro/internal/mcmf"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -24,13 +23,6 @@ type Scheduler struct {
 	// ar is the reusable round arena behind buildNetwork and the flows
 	// accumulator; it shares the Scheduler's sequential-use contract.
 	ar *roundArena
-	// delta is the retained incremental-scheduling state, allocated
-	// lazily on the first round when Params.DeltaThreshold > 0 and
-	// dropped whenever a round errors or shadow verification mismatches.
-	delta *deltaState
-	// deltaTotals are the cumulative delta counters; unlike delta they
-	// survive retained-state drops for the Scheduler's lifetime.
-	deltaTotals DeltaStats
 }
 
 // New validates the inputs and returns a scheduler for the world.
@@ -125,10 +117,7 @@ func (s *Scheduler) ScheduleRound(d *Demand, cons Constraints) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.params.DeltaThreshold > 0 {
-		return s.scheduleDelta(d, svc, cache)
-	}
-	return s.scheduleFull(d, svc, cache, nil, false)
+	return s.scheduleFull(d, svc, cache)
 }
 
 // validateRound checks the caller-contract inputs of one round and
@@ -179,26 +168,13 @@ func (s *Scheduler) validateRound(d *Demand, cons Constraints) (svc []int64, cac
 }
 
 // scheduleFull runs one complete scheduling round: clustering, the full
-// θ sweep, replication, and plan assembly. When rec is non-nil the round
-// belongs to a delta-mode scheduler: each θ iteration's network and flow
-// solution is recorded into rec for the next round's replay, clustering
-// goes through the memoised refresh path, and Params.Deadline is ignored
-// (delta mode's latency story is the delta path, not truncation). quiet
-// suppresses all observability side effects (events, metrics, timers) —
-// the DeltaVerify shadow solve uses it so verification never perturbs
-// the published counters.
-func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweepRecord, quiet bool) (*Plan, error) {
+// θ sweep, replication, and plan assembly.
+func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int) (*Plan, error) {
 	start := time.Now()
 	overDeadline := func() bool {
-		if quiet || rec != nil {
-			return false
-		}
 		return s.params.Deadline > 0 && time.Since(start) >= s.params.Deadline
 	}
-	var ro roundObs
-	if !quiet {
-		ro = newRoundObs(s.params)
-	}
+	ro := newRoundObs(s.params)
 
 	over, under, phiOver, phiUnder := s.partition(d, svc)
 	var stats Stats
@@ -226,13 +202,7 @@ func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweep
 	// cache is empty whenever either side of the partition is, so the
 	// plan is identical to the full path's.
 	if stats.MaxFlow == 0 {
-		dcache := &distCache{}
-		if rec != nil {
-			// A zero-iteration record: the next round, if unchanged,
-			// "replays" an empty sweep.
-			rec.captureRound(over, under, dcache, s.delta.clusterEpoch, true)
-		}
-		return s.finishRound(d, &stats, &ro, over, under, phiOver, s.ar.emptyFlows(), svc, cache, dcache, 0, quiet)
+		return s.finishRound(d, &stats, &ro, over, under, phiOver, s.ar.emptyFlows(), svc, cache, &distCache{}, 0)
 	}
 
 	var clusterOf []int
@@ -240,11 +210,7 @@ func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweep
 		t0 := ro.now()
 		var nClusters int
 		var err error
-		if rec != nil {
-			clusterOf, nClusters, err = s.delta.refreshClusters(s, d)
-		} else {
-			clusterOf, nClusters, err = s.contentClusters(d)
-		}
+		clusterOf, nClusters, err = s.contentClusters(d)
 		if err != nil {
 			return nil, err
 		}
@@ -267,21 +233,15 @@ func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweep
 	dcache := s.newDistCache(over, under, par.Workers(s.params.Workers))
 	stats.DistanceCalcs = dcache.calcs()
 
-	mcmfPaths := s.runSweep(over, under, phiOver, phiUnder, dcache, clusterOf, flows, &stats, &ro, rec, overDeadline)
+	mcmfPaths := s.runSweep(over, under, phiOver, phiUnder, dcache, clusterOf, flows, &stats, &ro, overDeadline)
 	stats.Phases.Balance = ro.since(tBalance)
-	if rec != nil {
-		rec.captureRound(over, under, dcache, s.delta.clusterEpoch, !stats.Degraded)
-	}
 
-	return s.finishRound(d, &stats, &ro, over, under, phiOver, flows, svc, cache, dcache, mcmfPaths, quiet)
+	return s.finishRound(d, &stats, &ro, over, under, phiOver, flows, svc, cache, dcache, mcmfPaths)
 }
 
 // runSweep runs Algorithm 1's θ sweep plus the residual Gd pass,
 // accumulating extracted flows into flows and decrementing the φ
-// vectors. When rec is non-nil every iteration's network is built into
-// the record's own retained graph and its solved flow vector is
-// snapshotted so the next round can replay the sweep without solving.
-// Returns the total MCMF augmenting-path count.
+// vectors. Returns the total MCMF augmenting-path count.
 func (s *Scheduler) runSweep(
 	over, under []int,
 	phiOver, phiUnder []int64,
@@ -290,17 +250,10 @@ func (s *Scheduler) runSweep(
 	flows map[int64]int64,
 	stats *Stats,
 	ro *roundObs,
-	rec *sweepRecord,
 	overDeadline func() bool,
 ) int64 {
 	var moved int64
 	var mcmfPaths int64
-	dest := func() (*mcmf.Graph, *flowNet) {
-		if rec != nil {
-			return rec.dest()
-		}
-		return s.ar.g, &s.ar.net
-	}
 
 	// θ sweep over the content-aggregation network Gc (Algorithm 1,
 	// lines 5-10). The sweep is driven by integer step index so float
@@ -316,8 +269,7 @@ func (s *Scheduler) runSweep(
 			break
 		}
 		tIter := ro.now()
-		g, shell := dest()
-		nb := s.buildNetworkIn(g, shell, theta, over, under, phiOver, phiUnder, dcache, clusterOf, !s.params.DisableGuides)
+		nb := s.buildNetwork(theta, over, under, phiOver, phiUnder, dcache, clusterOf, !s.params.DisableGuides)
 		stats.DirectEdges += nb.directPairs
 		stats.GuideNodes += nb.guideNodes
 		var extracted int64
@@ -346,9 +298,6 @@ func (s *Scheduler) runSweep(
 				moved += extracted
 			}
 		}
-		if rec != nil {
-			rec.capture(theta, false, extracted, paths)
-		}
 		stats.Iterations++
 		ro.emit("theta-iter",
 			obs.F("theta", theta),
@@ -364,8 +313,7 @@ func (s *Scheduler) runSweep(
 	// lines 11-13): move whatever the guided rounds left behind.
 	if moved < stats.MaxFlow && !overDeadline() {
 		tRes := ro.now()
-		g, shell := dest()
-		nb := s.buildNetworkIn(g, shell, s.params.Theta2, over, under, phiOver, phiUnder, dcache, nil, false)
+		nb := s.buildNetwork(s.params.Theta2, over, under, phiOver, phiUnder, dcache, nil, false)
 		var extracted int64
 		var paths int64
 		var recovered int64
@@ -387,9 +335,6 @@ func (s *Scheduler) runSweep(
 				moved += extracted
 			}
 		}
-		if rec != nil {
-			rec.capture(s.params.Theta2, true, extracted, paths)
-		}
 		ro.emit("residual-pass",
 			obs.I("direct_pairs", int64(nb.directPairs)),
 			obs.I("moved", extracted),
@@ -406,8 +351,9 @@ func (s *Scheduler) runSweep(
 }
 
 // finishRound runs the round's tail shared by the full θ-sweep path and
-// the MaxFlow==0 fast path: Procedure 1 replication followed by
-// assemblePlan.
+// the MaxFlow==0 fast path: Procedure 1 replication, then the final
+// accounting — CDN overflow, the realised-flow reconciliation, Ω1 — and
+// the round's metrics, and assembles the Plan.
 func (s *Scheduler) finishRound(
 	d *Demand,
 	stats *Stats,
@@ -419,7 +365,6 @@ func (s *Scheduler) finishRound(
 	cache []int,
 	dcache *distCache,
 	mcmfPaths int64,
-	quiet bool,
 ) (*Plan, error) {
 	// Procedure 1: realise flows into per-video redirects and build
 	// the placement.
@@ -431,26 +376,7 @@ func (s *Scheduler) finishRound(
 	stats.UnrealizedFlow = unrealized
 	stats.Replicas = replicas
 	stats.Phases.Replicate = ro.since(tRep)
-	return s.assemblePlan(stats, ro, over, under, phiOver, flows, redirects, placement, dcache, mcmfPaths, quiet), nil
-}
 
-// assemblePlan runs the round's final accounting — CDN overflow, the
-// realised-flow reconciliation, Ω1 — publishes the round's metrics
-// (unless quiet), and assembles the Plan. It is shared by the full and
-// delta paths, so both produce byte-identical canonical output from
-// identical inputs.
-func (s *Scheduler) assemblePlan(
-	stats *Stats,
-	ro *roundObs,
-	over, under []int,
-	phiOver []int64,
-	flows map[int64]int64,
-	redirects []Redirect,
-	placement []similarity.Set,
-	dcache *distCache,
-	mcmfPaths int64,
-	quiet bool,
-) *Plan {
 	m := len(s.world.Hotspots)
 
 	// Whatever surplus remains unmovable within θ2 goes to the origin
@@ -496,9 +422,7 @@ func (s *Scheduler) assemblePlan(
 		obs.D("cluster_dur", stats.Phases.Cluster),
 		obs.D("balance_dur", stats.Phases.Balance),
 		obs.D("replicate_dur", stats.Phases.Replicate))
-	if !quiet {
-		publishRound(s.params.Obs, stats, mcmfPaths)
-	}
+	publishRound(s.params.Obs, stats, mcmfPaths)
 
 	return &Plan{
 		Flows:         flowEdges(flows, realized, m),
@@ -508,7 +432,7 @@ func (s *Scheduler) assemblePlan(
 		Degraded:      stats.Degraded,
 		Stats:         *stats,
 		Events:        ro.events,
-	}
+	}, nil
 }
 
 // boolAttr renders a bool as a 0/1 event attribute value.

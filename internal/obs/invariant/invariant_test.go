@@ -113,52 +113,6 @@ func TestCheckPlanRBCAer(t *testing.T) {
 	}
 }
 
-// TestCheckPlanDeltaRounds runs the same invariant bar over the
-// incremental scheduler: a single stateful delta-mode scheduler walks
-// every slot of the trace while the effective constraints flip between
-// regimes, and every plan — cold, patched, replayed, or fallen back —
-// must satisfy the full invariant set and match an independent full
-// solve digest-for-digest.
-func TestCheckPlanDeltaRounds(t *testing.T) {
-	for _, seed := range []int64{1, 2} {
-		world, tr := genWorld(t, seed, nil)
-		params := core.DefaultParams()
-		params.DeltaThreshold = 1
-		params.FullSolveEvery = 3
-		sched, err := core.New(world, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := core.New(world, core.DefaultParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		variants := constraintVariants(world)
-		order := []string{"nominal", "nominal", "degraded", "blackout"}
-		for slot := 0; slot < tr.Slots; slot++ {
-			cons := variants[order[slot%len(order)]]
-			d := slotContext(t, world, tr, slot).Demand
-			plan, err := sched.ScheduleRound(d, cons)
-			if err != nil {
-				t.Fatalf("seed %d slot %d: delta ScheduleRound: %v", seed, slot, err)
-			}
-			if err := CheckPlan(world, d, cons, plan); err != nil {
-				t.Errorf("seed %d slot %d (delta round=%v): %v", seed, slot, plan.Stats.DeltaRound, err)
-			}
-			ref, err := full.ScheduleRound(d.Clone(), cons)
-			if err != nil {
-				t.Fatalf("seed %d slot %d: full ScheduleRound: %v", seed, slot, err)
-			}
-			if plan.Digest() != ref.Digest() {
-				t.Errorf("seed %d slot %d: delta plan diverges from full solve", seed, slot)
-			}
-		}
-		if st := sched.DeltaStats(); st.Rounds == 0 || st.Fallbacks == 0 {
-			t.Errorf("seed %d: delta stats %+v never exercised rounds and fallbacks", seed, st)
-		}
-	}
-}
-
 // TestCheckPlanNegative corrupts valid plans one invariant at a time
 // and requires CheckPlan to fail loudly on each.
 func TestCheckPlanNegative(t *testing.T) {

@@ -24,7 +24,7 @@ import (
 // Workers 1 vs 4).
 type ExecOptions struct {
 	// Workers is the scheduling parallelism (0 = all cores, 1 =
-	// serial). Delta-mode scenarios always run sequentially.
+	// serial).
 	Workers int
 }
 
@@ -67,7 +67,6 @@ type Report struct {
 	Videos      int
 	Slots       int
 	Seed        int64
-	Delta       bool
 	StressCount int
 	FaultCounts fault.CauseCounts
 
@@ -140,7 +139,6 @@ func (doc *Doc) Execute(opt ExecOptions) (*Report, error) {
 		Videos:      world.NumVideos,
 		Slots:       cfg.Slots,
 		Seed:        simSeed,
-		Delta:       doc.Spec.Delta,
 		StressCount: stressCount,
 	}
 
@@ -357,14 +355,6 @@ func (doc *Doc) policy(reg *obs.Registry, workers int) (func() sim.Scheduler, bo
 	switch doc.schemeName() {
 	case "rbcaer":
 		params := core.DefaultParams()
-		if doc.Spec.Delta {
-			params.DeltaThreshold = core.DefaultDeltaThreshold
-			if doc.Spec.DeltaThreshold > 0 {
-				params.DeltaThreshold = doc.Spec.DeltaThreshold
-			}
-			params.FullSolveEvery = doc.Spec.DeltaEvery
-			params.DeltaVerify = doc.Spec.DeltaVerify
-		}
 		params.Obs = reg
 		if doc.Spec.Shards > 0 || doc.Spec.ShardCellKm > 0 {
 			// Sharded mode: shard-level concurrency replaces
@@ -378,11 +368,11 @@ func (doc *Doc) policy(reg *obs.Registry, workers int) (func() sim.Scheduler, bo
 				Workers: workers,
 				Obs:     reg,
 			}
-			return func() sim.Scheduler { return shard.NewPolicy(sp) }, !doc.Spec.Delta, nil
+			return func() sim.Scheduler { return shard.NewPolicy(sp) }, true, nil
 		}
 		params.Workers = workers
 		if len(thetas) == 0 {
-			return func() sim.Scheduler { return scheme.NewRBCAer(params) }, !doc.Spec.Delta, nil
+			return func() sim.Scheduler { return scheme.NewRBCAer(params) }, true, nil
 		}
 		return func() sim.Scheduler { return newThetaPolicy(params, thetas) }, true, nil
 	case "nearest":
@@ -463,12 +453,8 @@ func (r *Report) Text() string {
 // rendering is byte-identical for equal runs at any worker count.
 func (r *Report) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "scenario: %s\n", r.Name)
-	deltaTag := ""
-	if r.Delta {
-		deltaTag = ", delta"
-	}
 	fmt.Fprintf(w, "world:    %d hotspots, %d videos, %d slots (seed %d)\n", r.Hotspots, r.Videos, r.Slots, r.Seed)
-	fmt.Fprintf(w, "scheme:   %s%s\n", r.Scheme, deltaTag)
+	fmt.Fprintf(w, "scheme:   %s\n", r.Scheme)
 	if r.Serve {
 		fmt.Fprintf(w, "serve:    %d frontends, fsync %s, %d crash(es); %d/%d plans byte-identical to offline\n",
 			r.ServeInstances, r.ServeFsync, r.Crashes, r.PlansMatched, r.PlansMatched+r.PlansMismatched)

@@ -29,6 +29,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -485,6 +486,12 @@ func (d *dec) float(key string, def float64) float64 {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		d.fail("line %d: %s.%s: %q is not a number", c.line, d.ctx, key, s)
+		return def
+	}
+	// ParseFloat accepts "nan" and "inf", which would slip past every
+	// range check downstream (NaN fails both x < lo and x > hi).
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		d.fail("line %d: %s.%s: %q is not a finite number", c.line, d.ctx, key, s)
 		return def
 	}
 	return v

@@ -246,15 +246,10 @@ func (in *instance) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	slot, epoch := s.slot, s.epoch
 	s.mu.Unlock()
-	mode := "full"
-	if s.cfg.Params.DeltaThreshold > 0 {
-		mode = "delta"
-	}
 	resp := map[string]any{
 		"status":    "ok",
 		"slot":      slot,
 		"epoch":     epoch,
-		"mode":      mode,
 		"instance":  in.id,
 		"instances": len(s.instances),
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 
@@ -129,9 +128,9 @@ func TestRedirectCursorOverflow(t *testing.T) {
 }
 
 // TestSlotLatencyMicrosHistogram pins the latency histogram to
-// microsecond buckets: sub-millisecond rounds (the norm for delta
-// slots) must land in a non-zero bucket instead of all collapsing into
-// bucket zero of a milliseconds histogram.
+// microsecond buckets: sub-millisecond rounds must land in a non-zero
+// bucket instead of all collapsing into bucket zero of a milliseconds
+// histogram.
 func TestSlotLatencyMicrosHistogram(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := newTestServer(t, Config{World: testWorld(3, 10, 10), Registry: reg})
@@ -155,47 +154,5 @@ func TestSlotLatencyMicrosHistogram(t *testing.T) {
 	}
 	if got := reg.Histogram("server.slot.latency_ms", obs.PowersOf2Buckets(16)).Count(); got != 0 {
 		t.Errorf("legacy server.slot.latency_ms histogram still observed %d values", got)
-	}
-}
-
-// TestServerDeltaMode checks the delta wiring: healthz reports the
-// scheduling mode, and delta rounds surface as server.plan.delta_*
-// counters.
-func TestServerDeltaMode(t *testing.T) {
-	params := core.DefaultParams()
-	params.DeltaThreshold = 1
-	reg := obs.NewRegistry()
-	s := newTestServer(t, Config{World: testWorld(3, 10, 10), Params: params, Registry: reg})
-	s.wg.Add(1)
-	go s.recomputeLoop()
-	defer func() {
-		s.stopOnce.Do(func() { close(s.stop) })
-		s.wg.Wait()
-	}()
-
-	rr := do(t, s, http.MethodGet, "/healthz", "")
-	if !strings.Contains(rr.Body.String(), `"mode":"delta"`) {
-		t.Errorf("healthz = %s, want mode delta", rr.Body.String())
-	}
-
-	for slot := 0; slot < 2; slot++ {
-		for v := 0; v < 4; v++ {
-			body := fmt.Sprintf(`{"user":1,"video":%d,"hotspot":0}`, v)
-			if rr := do(t, s, http.MethodPost, "/ingest", body); rr.Code != http.StatusAccepted {
-				t.Fatalf("ingest: %d", rr.Code)
-			}
-		}
-		if _, _, err := s.AdvanceSlot(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := reg.Counter("server.plan.delta_rounds").Value(); got != 1 {
-		t.Errorf("server.plan.delta_rounds = %d, want 1 (cold slot + one delta slot)", got)
-	}
-
-	full := newTestServer(t, Config{World: testWorld(3, 10, 10)})
-	rr = do(t, full, http.MethodGet, "/healthz", "")
-	if !strings.Contains(rr.Body.String(), `"mode":"full"`) {
-		t.Errorf("healthz = %s, want mode full", rr.Body.String())
 	}
 }

@@ -516,15 +516,9 @@ func (s *Server) runSlot(snap *slotSnapshot) {
 	if plan.Degraded {
 		s.reg.Counter("server.plan.degraded").Inc()
 	}
-	if plan.Stats.DeltaRound {
-		s.reg.Counter("server.plan.delta_rounds").Inc()
-	}
-	if plan.Stats.DeltaFallback {
-		s.reg.Counter("server.plan.delta_fallbacks").Inc()
-	}
 	latency := time.Since(snap.start)
 	// Microsecond buckets: scheduling rounds routinely finish in well
-	// under a millisecond (delta rounds especially), where millisecond
+	// under a millisecond, where millisecond
 	// buckets collapsed everything into bucket zero. 2^24 µs ≈ 16.8 s
 	// comfortably covers the slowest degraded round.
 	s.reg.Histogram("server.slot.latency_us", obs.PowersOf2Buckets(24)).Observe(latency.Microseconds())

@@ -38,9 +38,8 @@ type boundaryStats struct {
 // visited nearest-first (ties by index); videos largest-remaining-
 // demand first (ties by id).
 //
-// Placement rows are immutable Sets, possibly shared with per-shard
-// delta state retained across rounds; adding a replica replaces the
-// row with a grown copy.
+// Placement rows are immutable Sets; adding a replica replaces the row
+// with a grown copy.
 func (s *Scheduler) reconcile(plan *core.Plan, d *core.Demand, svc []int64, cache []int) boundaryStats {
 	var bst boundaryStats
 	m := len(s.world.Hotspots)

@@ -1,8 +1,8 @@
 // Package shard federates the RBCAer scheduling round across
 // geo-partitions of the world: each shard runs its own core.Scheduler
-// (with its own round arena and, optionally, retained delta state) over
-// a bounded worker pool, and a deterministic boundary-reconciliation
-// pass offloads residual overload across shard edges afterwards.
+// (with its own round arena) over a bounded worker pool, and a
+// deterministic boundary-reconciliation pass offloads residual
+// overload across shard edges afterwards.
 //
 // The merged plan obeys the repo-wide determinism contract: for a fixed
 // world, partition, and demand sequence the plan bytes
@@ -83,7 +83,7 @@ type shardRound struct {
 
 // New builds a sharded scheduler over world. The partition is computed
 // once up front; every shard gets its own core.Scheduler so round
-// arenas and delta state stay shard-local.
+// arenas stay shard-local.
 func New(world *trace.World, p Params) (*Scheduler, error) {
 	if world == nil {
 		return nil, fmt.Errorf("shard: nil world")
@@ -183,10 +183,8 @@ func (s *Scheduler) ScheduleRound(d *core.Demand, cons core.Constraints) (*core.
 	}
 	obsOn := s.params.Obs != nil
 
-	// Split the demand and constraints per shard. PerVideo maps are
-	// deep-copied: per-shard schedulers in delta mode retain the
-	// demand they are handed across rounds, so handing them views of
-	// the caller's maps would break the delta caller contract.
+	// Split the demand and constraints per shard. The sub-demands alias
+	// the caller's rows: core never mutates a Demand.
 	subDemands := make([]*core.Demand, len(s.scheds))
 	subCons := make([]core.Constraints, len(s.scheds))
 	for k, toGlobal := range s.toGlobal {
@@ -194,9 +192,8 @@ func (s *Scheduler) ScheduleRound(d *core.Demand, cons core.Constraints) (*core.
 		ssvc := make([]int64, len(toGlobal))
 		scache := make([]int, len(toGlobal))
 		for li, g := range toGlobal {
-			for v, n := range d.PerVideo[g] {
-				sd.Add(trace.HotspotID(li), v, n)
-			}
+			sd.PerVideo[li] = d.PerVideo[g]
+			sd.Totals[li] = d.Totals[g]
 			ssvc[li] = svc[g]
 			scache[li] = cache[g]
 		}
@@ -261,11 +258,7 @@ func (s *Scheduler) ScheduleRound(d *core.Demand, cons core.Constraints) (*core.
 		ms.Iterations += st.Iterations
 		ms.RecoveredErrors += st.RecoveredErrors
 		ms.DistanceCalcs += st.DistanceCalcs
-		ms.PatchedRows += st.PatchedRows
 		ms.DeadlineExceeded = ms.DeadlineExceeded || st.DeadlineExceeded
-		ms.DeltaRound = ms.DeltaRound || st.DeltaRound
-		ms.DeltaFallback = ms.DeltaFallback || st.DeltaFallback
-		ms.SweepReplayed = ms.SweepReplayed || st.SweepReplayed
 		ms.Phases = ms.Phases.Add(st.Phases)
 		sumUnrealized += st.UnrealizedFlow
 		if lp.Events != nil {

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -206,90 +205,6 @@ func TestShardedDeterministicUnderFaults(t *testing.T) {
 	}
 }
 
-// TestShardedDeltaMatchesShardedFull proves per-shard delta state keeps
-// the merged plan digest-identical to sharded full solves over a
-// drifting demand sequence.
-func TestShardedDeltaMatchesShardedFull(t *testing.T) {
-	world, tr := genWorld(t, 50, 1500, 3000, 9000, 2)
-	base := slotDemands(t, world, tr)[0]
-	demands := driftDemands(base, 12)
-
-	deltaLocal := localParams()
-	deltaLocal.DeltaThreshold = 0.9
-	deltaLocal.FullSolveEvery = 6
-
-	full, err := New(world, Params{CellKm: 4, Local: localParams()})
-	if err != nil {
-		t.Fatalf("New(full): %v", err)
-	}
-	delta, err := New(world, Params{CellKm: 4, Local: deltaLocal, Workers: 4})
-	if err != nil {
-		t.Fatalf("New(delta): %v", err)
-	}
-	sawDelta := false
-	for s, d := range demands {
-		fp, err := full.ScheduleRound(d, core.Constraints{})
-		if err != nil {
-			t.Fatalf("round %d full: %v", s, err)
-		}
-		dp, err := delta.ScheduleRound(d, core.Constraints{})
-		if err != nil {
-			t.Fatalf("round %d delta: %v", s, err)
-		}
-		if fp.Digest() != dp.Digest() {
-			t.Fatalf("round %d: delta digest diverged from full", s)
-		}
-		sawDelta = sawDelta || dp.Stats.DeltaRound
-	}
-	if !sawDelta {
-		t.Error("no round ran on the delta path; drift generator too aggressive?")
-	}
-}
-
-// driftDemands mirrors cdnbench's delta workload: each step clones its
-// predecessor and shuffles ~10% of two hotspots' request mass between
-// videos already in their working sets, keeping totals fixed.
-func driftDemands(base *core.Demand, steps int) []*core.Demand {
-	rng := rand.New(rand.NewSource(17))
-	out := make([]*core.Demand, steps)
-	out[0] = base
-	for s := 1; s < steps; s++ {
-		d := out[s-1].Clone()
-		for k := 0; k < 2; k++ {
-			h := rng.Intn(d.NumHotspots())
-			row := d.PerVideo[h]
-			if len(row) < 2 {
-				continue
-			}
-			videos := make([]trace.VideoID, 0, len(row))
-			for v := range row {
-				videos = append(videos, v)
-			}
-			slices.Sort(videos)
-			move := d.Totals[h] / 10
-			for i := 0; move > 0 && i < 64; i++ {
-				src := videos[rng.Intn(len(videos))]
-				dst := videos[rng.Intn(len(videos))]
-				if src == dst || row[src] == 0 {
-					continue
-				}
-				n := move
-				if row[src] < n {
-					n = row[src]
-				}
-				row[src] -= n
-				if row[src] == 0 {
-					delete(row, src)
-				}
-				row[dst] += n
-				move -= n
-			}
-		}
-		out[s] = d
-	}
-	return out
-}
-
 // TestShardedClusterPartition exercises the ClusterPartition path.
 func TestShardedClusterPartition(t *testing.T) {
 	world, tr := genWorld(t, 40, 1000, 2000, 5000, 1)
@@ -311,7 +226,8 @@ func TestShardedClusterPartition(t *testing.T) {
 }
 
 // TestShardedDemandNotMutated: the sharded round must not mutate the
-// caller's demand (the delta caller contract depends on it).
+// caller's demand. The per-shard sub-demands alias the caller's rows,
+// so this also covers every per-shard core round.
 func TestShardedDemandNotMutated(t *testing.T) {
 	world, tr := genWorld(t, 40, 1000, 2000, 5000, 1)
 	d := slotDemands(t, world, tr)[0]

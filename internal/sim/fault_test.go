@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -157,6 +158,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"churn one", Options{HotspotChurn: 1}, true},
 		{"churn negative", Options{HotspotChurn: -0.01}, false},
 		{"churn above one", Options{HotspotChurn: 1.01}, false},
+		{"churn nan", Options{HotspotChurn: math.NaN()}, false},
 		{"nil faults", Options{Faults: nil}, true},
 		{"empty faults", Options{Faults: &fault.Scenario{}}, true},
 		{"valid faults", Options{Faults: &fault.Scenario{

@@ -282,7 +282,8 @@ type Options struct {
 
 // Validate checks the options.
 func (o Options) Validate() error {
-	if o.HotspotChurn < 0 || o.HotspotChurn > 1 {
+	// Written as a negated in-range test so NaN is rejected too.
+	if !(o.HotspotChurn >= 0 && o.HotspotChurn <= 1) {
 		return fmt.Errorf("sim: HotspotChurn %v outside [0, 1]", o.HotspotChurn)
 	}
 	if err := o.Faults.Validate(); err != nil {
